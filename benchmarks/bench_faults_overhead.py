@@ -6,11 +6,12 @@ instrumented hot paths cost <2% throughput when *no plan is installed*
 is the streaming trace reader — ``trace.read`` is polled per line — so
 this benchmark measures text-format parsing in three modes:
 
-* **raw**      — the pre-faults parse loop (strip, skip comments,
-  ``parse_event_parts``) reconstructed locally, the baseline;
+* **raw**      — the parse loop without the fault layer (strip, skip
+  comments, line memo, ``parse_event_parts``) reconstructed locally, the
+  baseline;
 * **disabled** — ``serialize.iter_parse_parts``, whose line numbering
-  hoists one ``faults.active()`` check per stream and pays one boolean
-  test per line;
+  checks ``faults.active()`` once per stream and is then a plain
+  ``enumerate``;
 * **enabled**  — the same with a plan installed whose ``trace.read``
   spec never matches, to document what an armed-but-quiet plan costs
   (lock + match per line; chaos runs only, never gated).
@@ -56,18 +57,25 @@ def _trace_lines():
 
 
 def _iter_parse_parts_baseline(lines):
-    """``iter_parse_parts`` exactly as it existed before the fault
-    layer: inline enumerate, no injection poll."""
+    """``iter_parse_parts`` without the fault layer: inline enumerate, no
+    injection poll, the same per-call line memo."""
+    memo = {}
     for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            yield serialize.parse_event_parts(line)
-        except serialize.TraceParseError as error:
-            raise serialize.TraceParseError(
-                str(error), lineno=lineno, line=line
-            ) from None
+        parts = memo.get(line)
+        if parts is None:
+            if not line or line.startswith("#"):
+                continue
+            try:
+                parts = serialize.parse_event_parts(line)
+            except serialize.TraceParseError as error:
+                raise serialize.TraceParseError(
+                    str(error), lineno=lineno, line=line
+                ) from None
+            if len(memo) >= serialize._MEMO_LINES:
+                memo.clear()
+            memo[line] = parts
+        yield parts
 
 
 def _parse_raw(lines):

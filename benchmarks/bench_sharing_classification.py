@@ -4,13 +4,13 @@
 local, lock protected, or read shared" — the empirical premise behind
 FastTrack's adaptive representation (epochs suffice exactly when accesses
 are totally ordered).  This benchmark classifies every variable of every
-workload and asserts the premise, and times the classifier itself (it
-embeds a full FastTrack, so it also doubles as a pipeline stress test).
+workload and asserts the premise, and times the classifier itself (one
+bookkeeping pass plus the fused FastTrack kernel for the ``racy`` class).
 """
 
 import pytest
 
-from repro.bench.harness import TABLE1_ORDER, replay
+from repro.bench.harness import TABLE1_ORDER
 from repro.bench.workload import WORKLOADS
 from repro.detectors.classifier import (
     LOCK_PROTECTED,
@@ -28,8 +28,8 @@ def test_classification_cell(benchmark, workload_name):
     trace = WORKLOADS[workload_name].trace(scale=BENCH_SCALE)
 
     def run():
-        tool = SharingClassifier()
-        replay(trace, tool)
+        tool = SharingClassifier().process(trace)
+        tool.racy_keys()  # the FastTrack verdict is part of the cost
         return tool
 
     tool = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -47,9 +47,7 @@ def test_insight_report(benchmark):
         rows = {}
         for name in TABLE1_ORDER:
             trace = WORKLOADS[name].trace(scale=BENCH_SCALE)
-            tool = SharingClassifier()
-            replay(trace, tool)
-            rows[name] = tool.fractions()
+            rows[name] = SharingClassifier().process(trace).fractions()
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

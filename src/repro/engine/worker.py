@@ -43,6 +43,7 @@ from repro import faults
 from repro import obs
 from repro.core.detector import CostStats, Detector
 from repro.obs import tracecontext
+from repro.detectors.classifier import SharingClassifier
 from repro.detectors.registry import make_detector
 from repro.engine import transport as _transport
 from repro.engine.checkpoint import Workdir
@@ -219,11 +220,7 @@ def analyze_shard(
     ) as shard_span:
         detector: Detector = make_detector(tool, **(tool_kwargs or {}))
         use_fused = resolve_kernel(kernel, tool)
-        classifier = None
-        if classify:
-            from repro.detectors.classifier import SharingClassifier
-
-            classifier = SharingClassifier()
+        classifier_payload = None
         # Attach the shard's transport buffer.  This — plus the cached
         # intern load — is the *entire* per-shard transport cost under v3,
         # and the payload times it separately so the stage breakdown in
@@ -258,13 +255,6 @@ def analyze_shard(
                         )
                         detector = make_detector(tool, **(tool_kwargs or {}))
                         use_fused = False
-                    else:
-                        if classifier is not None:
-                            # The classifier has no fused form; replay the
-                            # shard's events for it alone (the detector's
-                            # pass stays columnar).
-                            for event in columns.iter_events():
-                                classifier.handle(event)
                 if not use_fused:
                     kind_counts: Dict[int, int] = {}
                     handle = detector.handle
@@ -281,21 +271,23 @@ def analyze_shard(
                             sites[site_id] if site_id >= 0 else None,
                         )
                         handle(event, index=index)
-                        if classifier is not None:
-                            classifier.handle(event)
                         kind_counts[kind] = kind_counts.get(kind, 0) + 1
                     _tally_kinds(detector.stats, kind_counts)
                 kspan.set(
                     events=events_seen,
                     kernel="fused" if use_fused else "generic",
                 )
+            if classify:
+                # One profiling pass over the same columns.  The verdict is
+                # the detector's when it must be equal, or else computed
+                # now: the classifier may not hold the columns past close.
+                classifier = SharingClassifier().process(columns)
+                classifier.adopt(detector)
+                classifier_payload = classifier_counts(classifier)
         finally:
-            columns = indices = None
+            columns = indices = classifier = None
             view.close()
 
-        classifier_payload = (
-            classifier_counts(classifier) if classifier is not None else None
-        )
         shard_span.set(
             events=events_seen, kernel="fused" if use_fused else "generic"
         )

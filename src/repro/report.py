@@ -169,15 +169,22 @@ def result_to_json(
 def detector_result(
     detector: Detector, classifier: Optional[SharingClassifier] = None
 ) -> Dict:
-    """The result document for a single-threaded detector run."""
+    """The result document for a single-threaded detector run.
+
+    ``classifier`` must have profiled the trace ``detector`` analyzed; it
+    reuses the detector's race verdict when that verdict must equal its
+    own (:meth:`SharingClassifier.adopt`).
+    """
+    counts = None
+    if classifier is not None:
+        classifier.adopt(detector)
+        counts = classifier_counts(classifier)
     return result_to_json(
         detector.name,
         detector.stats,
         detector.warnings,
         detector.suppressed_warnings,
-        classifier=classifier_counts(classifier)
-        if classifier is not None
-        else None,
+        classifier=counts,
     )
 
 
@@ -226,8 +233,8 @@ def build_report(
     summary = _trace_summary(trace)
     classes = None
     if classify:
-        classifier = SharingClassifier()
-        classifier.process(trace)
+        classifier = SharingClassifier().process(trace)
+        classifier.adopt(detector)
         classes = classifier.classify()
         fractions = classifier.fractions()
 

@@ -539,27 +539,40 @@ class RaceService:
             else:
                 self._partition_users.pop(key, None)
 
-    def _pinned_partitions(self) -> set:
+    def evict_idle_partitions(self) -> List[str]:
+        """One TTL pass over the resident partitions; returns the evicted
+        keys.  It holds the pin lock throughout, and a job pins its key
+        before it creates or reuses the partition, so a pass never
+        deletes a partition a job has started on."""
         with self._partition_guard:
-            return set(self._partition_users)
+            return self.store.evict_partitions(set(self._partition_users))
 
-    def _ensure_partition(self, job_id: str, record: Dict) -> str:
-        """Attach the job to its resident partition, creating it if this
-        trace digest has never been partitioned (or was evicted).
+    def _partition_key(self, job_id: str, record: Dict) -> str:
+        """The job's resident-partition key, computed once and recorded."""
+        key = record.get("partition")
+        if not key:
+            key = self.store.partition_key(
+                job_id, record["format"], record["shards"]
+            )
+            record["partition"] = key  # exemplars read the live record
+            self.store.update(job_id, partition=key)
+        return key
+
+    def _ensure_partition(self, job_id: str, record: Dict, key: str) -> None:
+        """Attach the job to its resident partition ``key``, creating it
+        if this trace digest has never been partitioned (or was evicted).
+        The caller must have pinned ``key``: until creation finishes the
+        directory has no ``.last_used`` stamp, so an unpinned one looks
+        idle since the epoch to the evictor.
 
         Creation streams the spooled trace through the v3 partitioner
         with the **mmap** transport — the buffers must outlive this
         process for restart recovery, and file-backed mmap lets every
         concurrent job share one page-cache copy.  Only creation holds
-        the per-key lock; reuse is a metadata read.  Returns the key.
+        the per-key lock; reuse is a metadata read.
         """
         fmt = record["format"]
         shards = record["shards"]
-        key = record.get("partition")
-        if not key:
-            key = self.store.partition_key(job_id, fmt, shards)
-            record["partition"] = key  # exemplars read the live record
-            self.store.update(job_id, partition=key)
         pdir = self.store.partition_dir(key)
         self._set_stage(job_id, "partition")
         with self._partition_lock(key):
@@ -586,7 +599,6 @@ class RaceService:
                     )
                 self.m_partitions.inc(outcome="created")
             self.store.touch_partition(key)
-        return key
 
     def _analyze(self, job_id: str, record: Dict) -> Dict:
         tools = record["tools"]
@@ -598,13 +610,13 @@ class RaceService:
             if self.config.job_timeout
             else None
         )
-        key = self._ensure_partition(job_id, record)
-        workdir = self.store.partition_dir(key)
+        key = self._partition_key(job_id, record)
         self._pin_partition(key)
         try:
+            self._ensure_partition(job_id, record, key)
             return self._analyze_tools(
-                job_id, record, tools, fmt, shards, trace_path, workdir,
-                deadline,
+                job_id, record, tools, fmt, shards, trace_path,
+                self.store.partition_dir(key), deadline,
             )
         finally:
             self._unpin_partition(key)
@@ -692,7 +704,7 @@ class RaceService:
         interval = max(1.0, self.config.eviction_interval)
         while not self._stop_event.wait(interval):
             self.store.evict_expired()
-            self.store.evict_partitions(self._pinned_partitions())
+            self.evict_idle_partitions()
 
     # -- read-side accessors -------------------------------------------------
 

@@ -16,7 +16,8 @@ Two representations are provided:
   and oracles use);
 * :func:`happens_before_graph` — a :mod:`networkx` DiGraph with one node per
   event index, for visualization and for cross-checking the bitset
-  implementation in the test suite.
+  implementation in the test suite.  It is the only code that needs
+  networkx, which it imports when called.
 
 Edge construction
 -----------------
@@ -44,8 +45,6 @@ Edge construction
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.trace import events as ev
 from repro.trace.trace import Trace
@@ -246,8 +245,10 @@ def happens_before_graph(trace: Iterable[ev.Event]) -> "nx.DiGraph":
     Built with the same edge rules as :class:`HappensBefore` except that
     volatile write→read edges are materialized explicitly; reachability in
     this graph must agree with :meth:`HappensBefore.ordered` (asserted by
-    the test suite).
+    the test suite).  Needs :mod:`networkx` (the ``test`` extra).
     """
+    import networkx as nx
+
     events = list(trace)
     graph = nx.DiGraph()
     graph.add_nodes_from(range(len(events)))

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import starmap
 from typing import Hashable, Iterable, Iterator, Optional, TextIO, Tuple, Union
 
 from repro import faults
@@ -68,6 +69,14 @@ _LINE = re.compile(
     r"^(?P<op>\w+)\s*\(\s*(?P<args>[^)]*)\s*\)\s*(?:@\s*(?P<site>\S+))?$"
 )
 _TARGET = re.compile(r"^(?P<base>[^\[\]]+)(?P<indices>(\[[^\[\]]+\])*)$")
+_INDEX = re.compile(r"\[([^\[\]]+)\]")
+_INT = re.compile(r"-?\d+")
+
+#: How many distinct lines one :func:`iter_parse_parts` call remembers.
+#: Traces repeat lines heavily (the 203k-line eclipse-import trace has
+#: 48k distinct ones, so 76% of its lines are hits); the cap keeps an
+#: unbounded stream (``repro watch``) from growing the memo forever.
+_MEMO_LINES = 65536
 
 
 class TraceParseError(ValueError):
@@ -115,12 +124,12 @@ def parse_target(text: str) -> Hashable:
     indices_text = match.group("indices")
     if not indices_text:
         return base
-    indices = re.findall(r"\[([^\[\]]+)\]", indices_text)
+    indices = _INDEX.findall(indices_text)
     return tuple([base] + [_coerce(part.strip()) for part in indices])
 
 
 def _coerce(token: str) -> Union[int, str]:
-    if re.fullmatch(r"-?\d+", token):
+    if _INT.fullmatch(token):
         return int(token)
     return token
 
@@ -190,8 +199,15 @@ def parse_event(line: str) -> ev.Event:
     return ev.Event(kind, tid, target, site)
 
 
+def _not_utf8(error: UnicodeDecodeError, lineno: int) -> TraceParseError:
+    return TraceParseError(
+        f"trace is not valid UTF-8 ({error.reason} at byte {error.start})",
+        lineno=lineno,
+    )
+
+
 def _numbered_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
-    """Number a line stream, surviving mid-stream byte rot.
+    """Number a line stream (1-based), surviving mid-stream byte rot.
 
     Reading an open file iterates it lazily, so a non-UTF-8 byte half-way
     through a multi-gigabyte trace raises ``UnicodeDecodeError`` *during*
@@ -199,24 +215,21 @@ def _numbered_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
     its lines from here so that failure (and any injected ``trace.read``
     fault) surfaces as a :class:`TraceParseError` with the 1-based line
     number, never as a bare codec exception from deep inside the engine.
+
+    The production path (no fault plan) is a plain ``enumerate``, so it
+    costs nothing per line; the caller's loop catches the decode error,
+    and the failing line is the one after the last line numbered
+    (``_not_utf8(error, lineno + 1)``).
     """
     if not faults.active():
-        # The production path: plain enumerate, one enclosing handler.
-        # A decode error aborts the enumerate itself, so the failing
-        # line is the one after the last line yielded.
-        lineno = 0
-        try:
-            for lineno, raw_line in enumerate(lines, start=1):
-                yield lineno, raw_line
-        except UnicodeDecodeError as error:
-            raise TraceParseError(
-                f"trace is not valid UTF-8 "
-                f"({error.reason} at byte {error.start})",
-                lineno=lineno + 1,
-            ) from None
-        return
-    # A fault plan is armed: poll ``trace.read`` per line, and keep the
-    # per-line handler so an injected decode failure is attributed too.
+        return enumerate(lines, start=1)
+    return _fault_polled_lines(lines)
+
+
+def _fault_polled_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
+    """:func:`_numbered_lines` with a fault plan armed: poll
+    ``trace.read`` per line, and attribute decode failures (real or
+    injected) to their line here."""
     iterator = iter(lines)
     lineno = 0
     while True:
@@ -226,11 +239,7 @@ def _numbered_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
         except StopIteration:
             return
         except UnicodeDecodeError as error:
-            raise TraceParseError(
-                f"trace is not valid UTF-8 "
-                f"({error.reason} at byte {error.start})",
-                lineno=lineno,
-            ) from None
+            raise _not_utf8(error, lineno) from None
         spec = faults.fire("trace.read", lineno=lineno)
         if spec is not None and spec.action == "corrupt":
             # Keep the terminator: injected corruption must parse-fail
@@ -256,8 +265,12 @@ def _flagged_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str, bool]]:
     do; ``str.splitlines()`` without ``keepends`` would mark every line
     as a tolerated tail).
     """
-    for lineno, raw_line in _numbered_lines(lines):
-        yield lineno, raw_line, not raw_line.endswith(("\n", "\r"))
+    lineno = 0
+    try:
+        for lineno, raw_line in _numbered_lines(lines):
+            yield lineno, raw_line, not raw_line.endswith(("\n", "\r"))
+    except UnicodeDecodeError as error:
+        raise _not_utf8(error, lineno + 1) from None
 
 
 def iter_parse_parts(
@@ -265,17 +278,36 @@ def iter_parse_parts(
 ) -> Iterator[Tuple[int, int, Hashable, Optional[str]]]:
     """Stream-parse the text format to ``(kind, tid, target, site)`` tuples.
 
-    The event-free twin of :func:`iter_parse`: comments and blank lines are
-    skipped, and errors carry the 1-based line number and offending text.
+    Comments and blank lines are skipped, and errors carry the 1-based
+    line number and offending text.  Each call remembers the lines it has
+    parsed (up to :data:`_MEMO_LINES`, then it starts over), so a repeated
+    line skips the regexes and yields the same tuple again; its target and
+    site objects are shared, which is safe because they are immutable.
+    Only successful parses are remembered, so a malformed line fails at
+    its first occurrence.
     """
-    for lineno, raw_line in _numbered_lines(lines):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            yield parse_event_parts(line)
-        except TraceParseError as error:
-            raise TraceParseError(str(error), lineno=lineno, line=line) from None
+    memo = {}
+    memo_get = memo.get
+    lineno = 0
+    try:
+        for lineno, raw_line in _numbered_lines(lines):
+            line = raw_line.strip()
+            parts = memo_get(line)
+            if parts is None:
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    parts = parse_event_parts(line)
+                except TraceParseError as error:
+                    raise TraceParseError(
+                        str(error), lineno=lineno, line=line
+                    ) from None
+                if len(memo) >= _MEMO_LINES:
+                    memo.clear()  # start over: the stream has moved on
+                memo[line] = parts
+            yield parts
+    except UnicodeDecodeError as error:
+        raise _not_utf8(error, lineno + 1) from None
 
 
 def dumps(trace: Iterable[ev.Event]) -> str:
@@ -291,14 +323,7 @@ def iter_parse(lines: Iterable[str]) -> Iterator[ev.Event]:
     entry point the sharded engine uses: it never materializes the full
     event list, so traces larger than memory can be partitioned.
     """
-    for lineno, raw_line in _numbered_lines(lines):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            yield parse_event(line)
-        except TraceParseError as error:
-            raise TraceParseError(str(error), lineno=lineno, line=line) from None
+    return starmap(ev.Event, iter_parse_parts(lines))
 
 
 def iter_load(stream: Iterable[str]) -> Iterator[ev.Event]:

@@ -1,5 +1,11 @@
 """Tests for the sharing-pattern classifier (the Section 1 insight)."""
 
+import pytest
+from hypothesis import given, settings
+
+from repro.core.detector import coarse_grain, fine_grain
+from repro.core.fasttrack import FastTrack
+from repro.detectors import AsyncFinishDetector, DJITPlus
 from repro.detectors.classifier import (
     LOCK_PROTECTED,
     RACY,
@@ -10,6 +16,10 @@ from repro.detectors.classifier import (
 )
 from repro.bench.workload import WORKLOADS
 from repro.trace import events as ev
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.generators import traces
+
+from tests.reference_classifier import ReferenceClassifier
 
 
 def classify(events):
@@ -114,3 +124,91 @@ class TestFractions:
 
         plain = FastTrack().process(trace)
         assert racy_vars == plain._warned_keys
+
+
+# -- the one-pass classifier against the per-event reference ---------------
+
+
+def _objects_and_sites(trace):
+    """Rename each variable ``x<i>`` to the array element ``("obj", i % 2,
+    i)`` (so coarse granularity merges elements of one object) and give
+    accesses rotating source sites; syncs keep their targets."""
+    out = []
+    for index, event in enumerate(trace):
+        if event.kind in (ev.READ, ev.WRITE):
+            number = int(event.target[1:])
+            event = ev.Event(
+                event.kind, event.tid, ("obj", number % 2, number),
+                f"site{index % 3}",
+            )
+        out.append(event)
+    return out
+
+
+def _access_counts(classifier):
+    return {key: p.accesses for key, p in classifier.profiles.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces())
+def test_matches_the_per_event_reference(trace):
+    """Locks, fork/join, barriers and volatiles (``traces()`` mixes them
+    all), at both granularities, from events and from columns."""
+    events = _objects_and_sites(trace)
+    for shadow_key in (fine_grain, coarse_grain):
+        reference = ReferenceClassifier(shadow_key=shadow_key).process(events)
+        expected = reference.classify()
+        counts = _access_counts(reference)
+        for source in (events, ColumnarTrace.from_events(events)):
+            tool = SharingClassifier(shadow_key=shadow_key).process(source)
+            assert tool.classify() == expected
+            assert _access_counts(tool) == counts
+
+
+def test_one_shot_iterables_are_kept_for_the_verdict():
+    events = [ev.fork(0, 1), ev.wr(0, "x"), ev.wr(1, "x"), ev.rd(1, "y")]
+    tool = SharingClassifier().process(iter(events))
+    assert tool.classify() == {"x": RACY, "y": THREAD_LOCAL}
+
+
+@settings(max_examples=60, deadline=None)
+@given(traces())
+def test_adopted_verdict_equals_the_computed_one(trace):
+    events = _objects_and_sites(trace)
+    computed = SharingClassifier().process(events).classify()
+    for track_sites in (True, False):
+        detector = FastTrack(track_sites=track_sites).process(events)
+        tool = SharingClassifier().process(events)
+        assert tool.adopt(detector)
+        assert tool.classify() == computed
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FastTrack(demote_on_shared_write=False),
+        lambda: FastTrack(enable_fast_paths=False),
+        lambda: FastTrack(shared_same_epoch=True),
+        lambda: FastTrack(shadow_key=coarse_grain),
+        AsyncFinishDetector,
+        DJITPlus,
+    ],
+    ids=[
+        "no-demotion", "no-fast-paths", "shared-same-epoch",
+        "coarse-grain", "AsyncFinish", "DJIT+",
+    ],
+)
+def test_verdicts_that_may_differ_are_not_adopted(make):
+    events = [ev.fork(0, 1), ev.wr(0, "x"), ev.wr(1, "x")]
+    detector = make().process(events)
+    tool = SharingClassifier().process(events)
+    assert not tool.adopt(detector)
+    assert tool.classify() == {"x": RACY}
+
+
+def test_a_detector_that_saw_another_trace_is_not_adopted():
+    events = [ev.fork(0, 1), ev.wr(0, "x"), ev.wr(1, "x")]
+    detector = FastTrack().process(events[:2])
+    tool = SharingClassifier().process(events)
+    assert not tool.adopt(detector)
+    assert tool.classify() == {"x": RACY}

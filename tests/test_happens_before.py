@@ -5,6 +5,11 @@ hand-checked orderings for every edge type, plus a cross-check of the bitset
 transitive closure against networkx reachability on random traces.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 from hypothesis import given, settings
 
@@ -185,3 +190,17 @@ class TestAgainstNetworkx:
         trace = [ev.rd(0, "x")]
         graph = happens_before_graph(trace)
         assert graph.nodes[0]["event"] == trace[0]
+
+
+def test_networkx_is_imported_only_by_the_graph_view():
+    """``happens_before_graph`` is networkx's only user, so starting the
+    CLI must not pay for importing it."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    probe = "import sys, repro.cli; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -1,11 +1,13 @@
 """Round-trip and error tests for the trace serialization formats."""
 
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from repro.trace import events as ev
+from repro.trace import serialize
 from repro.trace.generators import traces
 from repro.trace.serialize import (
     TraceParseError,
@@ -183,6 +185,48 @@ class TestParseErrorLocation:
             parse_event("frobnicate(0, x)")
         assert excinfo.value.lineno is None
         assert excinfo.value.line is None
+
+
+class TestLineMemo:
+    """``iter_parse_parts`` parses each distinct line once per call."""
+
+    def test_repeated_malformed_line_reports_its_first_line(self):
+        text = "wr(0, x)\nwr(0, x)\nwr(zero, x)\nwr(0, x)\nwr(zero, x)\n"
+        with pytest.raises(TraceParseError) as excinfo:
+            loads(text)
+        assert excinfo.value.lineno == 3
+        assert excinfo.value.line == "wr(zero, x)"
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((Path(__file__).parent / "data").glob("*.trace")),
+        ids=lambda path: path.name,
+    )
+    def test_tiny_memo_parses_golden_traces_like_parse_event(
+        self, monkeypatch, path
+    ):
+        # A 2-line cap makes the memo start over constantly, so hits,
+        # misses and resets all interleave.
+        monkeypatch.setattr(serialize, "_MEMO_LINES", 2)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        expected = [
+            parse_event(line)
+            for line in lines
+            if line.strip() and not line.strip().startswith("#")
+        ]
+
+        def typed(events):
+            # Compare reprs, so every element's type must match as well.
+            return [
+                (e.kind, e.tid, repr(e.target), repr(e.site)) for e in events
+            ]
+
+        assert typed(iter_parse(lines)) == typed(expected)
+
+    def test_memo_keeps_target_types(self):
+        events = list(iter_parse(["wr(0, x[1])", "rd(1, x[1])", "wr(0, x[1])"]))
+        assert [e.target for e in events] == [("x", 1)] * 3
+        assert all(type(e.target[1]) is int for e in events)
 
 
 class TestJsonl:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import cli
+from repro import cli, engine
 from repro.bench.harness import WARNING_TOOLS
 from repro.service.client import Client, JobFailed, ServiceError
 from repro.service.server import ServiceConfig, start_in_thread
@@ -265,3 +265,41 @@ def test_draining_daemon_refuses_submissions(tmp_path):
         assert client.healthz()["status"] == "draining"
     finally:
         handle.stop(grace=1.0)
+
+
+def test_evictor_pass_during_partition_creation_spares_it(
+    tmp_path, monkeypatch
+):
+    """A TTL pass that lands while a job's partition is being created
+    must not delete it: the job pins its key before creation starts."""
+    handle = start_in_thread(
+        ServiceConfig(port=0, workers=1, store_dir=str(tmp_path / "store"),
+                      ttl_seconds=0.0, eviction_interval=3600.0)
+    )
+    partition_events = engine.partition_events
+    evicted = []
+
+    def partition_with_a_pass(events, *args, **kwargs):
+        def events_then_pass():
+            for index, event in enumerate(events):
+                if index == 1:
+                    # Mid-creation: shard files are being written and
+                    # there is no .last_used stamp yet.
+                    evicted.extend(handle.service.evict_idle_partitions())
+                yield event
+
+        return partition_events(events_then_pass(), *args, **kwargs)
+
+    monkeypatch.setattr(engine, "partition_events", partition_with_a_pass)
+    try:
+        client = Client(port=handle.port, timeout=30.0)
+        trace = str(DATA / "tsp_small.trace")
+        job = client.submit(path=trace, tools=["FastTrack"])
+        client.wait(job["id"], timeout=60.0, poll=0.05)
+        served = client.result_bytes(job["id"]).decode("utf-8")
+        assert served == _check_json([trace, "--tool", "FastTrack"])
+        assert evicted == []
+        # Once the job is done nothing pins it, so the same pass evicts.
+        assert len(handle.service.evict_idle_partitions()) == 1
+    finally:
+        handle.stop(grace=5.0)

@@ -1,6 +1,7 @@
 """Unit tests for the service building blocks: metrics registry, bounded
 job queue, disk job store, and the URL router."""
 
+import os
 import threading
 
 import pytest
@@ -157,6 +158,28 @@ class TestJobStore:
         assert store.read(stale) is None
         assert store.read(fresh) is not None
         assert store.read(active) is not None
+
+    def _partition(self, store, key, last_used):
+        store.touch_partition(key)
+        stamp = os.path.join(store.partition_dir(key), ".last_used")
+        os.utime(stamp, (last_used, last_used))
+
+    def test_idle_partition_past_ttl_is_evicted(self, tmp_path):
+        store = JobStore(str(tmp_path), ttl_seconds=100.0)
+        self._partition(store, "idle", last_used=500.0)
+        self._partition(store, "recent", last_used=1000.0)
+        assert store.evict_partitions(set(), now=1050.0) == ["idle"]
+        assert not os.path.exists(store.partition_dir("idle"))
+        assert os.path.isdir(store.partition_dir("recent"))
+
+    def test_pinned_partition_is_kept_past_ttl(self, tmp_path):
+        store = JobStore(str(tmp_path), ttl_seconds=100.0)
+        self._partition(store, "pinned", last_used=500.0)
+        # A partition still being created has no stamp at all.
+        os.makedirs(store.partition_dir("creating"))
+        assert store.evict_partitions({"pinned", "creating"}, now=1050.0) == []
+        assert os.path.isdir(store.partition_dir("pinned"))
+        assert os.path.isdir(store.partition_dir("creating"))
 
 
 class TestRouter:
