@@ -8,14 +8,16 @@ benchmark measures both halves separately:
 
 * the **partition** stage — one streamed pass over the trace (an
   Eclipse-style ``Import`` operation, the paper's heaviest workload
-  shape, ≥200k events at the default scale), timed once; its published
+  shape, ≥200k events at the default scale), run once; its published
   ``shard_bytes`` is the entire transport payload (33 bytes/event plus
   the intern table), and
 * the **analyze+merge** phase — timed at 1, 2, and 4 workers against
   the same shard buffers, the same way a ``--resume`` run would execute
-  it, with the engine's own :attr:`MergedReport.timings` breakdown
-  (``transport_s`` = per-shard attach cost summed across workers,
-  ``analyze_s``, ``merge_s``) recorded per cell.
+  it.  The timed rounds run with telemetry off; one extra traced round
+  per cell records the per-stage breakdown from the engine's own spans
+  (``attach_s`` = ``shard.attach`` summed across workers, ``analyze_s``
+  = ``engine.analyze``, ``merge_s`` = ``engine.merge``).  Pool workers
+  write their spans to ``spans-<pid>.jsonl`` in the same directory.
 
 Results are pushed into the session recorder that
 ``benchmarks/conftest.py`` serializes to ``benchmarks/BENCH_engine.json``,
@@ -33,14 +35,15 @@ unset = record only).
 """
 
 import os
+import shutil
+import tempfile
 import time
 
 import pytest
 
-from repro import engine
+from repro import engine, obs
 from repro.bench.eclipse import import_program
 from repro.engine.checkpoint import Workdir
-from repro.engine.partition import partition_events
 from repro.runtime.scheduler import run_program
 
 TOOL = "FastTrack"
@@ -51,26 +54,44 @@ ROUNDS = int(os.environ.get("BENCH_ENGINE_ROUNDS", "3"))
 MIN_SPEEDUP = os.environ.get("REPRO_BENCH_MIN_SPEEDUP")
 
 
+def _traced(run):
+    """Run ``run()`` with telemetry on; returns every span it wrote,
+    the pool workers' included."""
+    directory = tempfile.mkdtemp(prefix="bench-engine-spans-")
+    obs.enable(directory)
+    try:
+        run()
+    finally:
+        obs.disable()
+    try:
+        return obs.read_all_spans(directory)
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+
+
+def _span_seconds(spans, name):
+    return sum(
+        span["wall_s"] for span in spans
+        if span.get("type") == "span" and span["name"] == name
+    )
+
+
 @pytest.fixture(scope="module")
 def partitioned(tmp_path_factory):
-    """One partitioned working directory shared by every worker count.
-
-    The mmap transport is used deliberately: the buffers are attached by
-    every (jobs, round) cell below, and file-backed buffers share one
-    page-cache copy across all of them — the same reasoning the service's
-    resident partitions use (docs/SERVICE.md).
-    """
+    """One partitioned working directory shared by every worker count:
+    the buffers are attached by every (jobs, round) cell below, and the
+    mmap'd shard files share one page-cache copy across all of them — as
+    the service's resident partitions do (docs/SERVICE.md).  The
+    partition runs once, traced, through the engine."""
     trace = run_program(import_program(ENGINE_SCALE), seed=0)
     root = str(tmp_path_factory.mktemp("engine_scaling"))
-    started = time.perf_counter()
-    meta = partition_events(
-        iter(trace.events), Workdir(root), NSHARDS, transport="mmap"
-    )
-    partition_s = time.perf_counter() - started
+    spans = _traced(lambda: engine.check_events(
+        iter(trace.events), tool=TOOL, nshards=NSHARDS, workdir=root
+    ))
+    (partition,) = [s for s in spans if s["name"] == "engine.partition"]
     stage = {
-        "transport": meta["transport"],
-        "partition_s": partition_s,
-        "shard_bytes": sum(meta.get("shard_bytes", [])),
+        "partition_s": partition["wall_s"],
+        "shard_bytes": partition["attrs"]["bytes"],
     }
     return root, len(trace), stage
 
@@ -91,18 +112,16 @@ def test_engine_scaling_cell(
 ):
     root, events, partition_stage = partitioned
     best = None
-    best_timings = None
     reference_warnings = None
     for _ in range(ROUNDS):
         seconds, report = _timed_analysis(root, jobs)
-        if best is None or seconds < best:
-            best = seconds
-            best_timings = report.timings or {}
+        best = seconds if best is None else min(best, seconds)
         if reference_warnings is None:
             reference_warnings = [str(w) for w in report.warnings]
         else:
             # Worker count must never change the verdict.
             assert [str(w) for w in report.warnings] == reference_warnings
+    spans = _traced(lambda: _timed_analysis(root, jobs))
     engine_bench_recorder.setdefault("engine_scaling", {}).update(
         {
             "workload": "eclipse-import",
@@ -120,16 +139,16 @@ def test_engine_scaling_cell(
         "seconds": best,
         "events_per_sec": events / best if best else None,
         "warnings": len(reference_warnings),
-        # The engine's own per-stage breakdown for the best round:
-        # transport_s is the per-shard attach cost summed across workers
-        # (under v3 there is no deserialization — this is the whole
-        # transport tax), analyze_s the parallel phase wall-clock,
-        # merge_s the k-way merge.
+        # The traced round's per-stage breakdown: attach_s is the
+        # per-shard attach cost summed across workers (under v3 there is
+        # no deserialization — this is the whole transport tax),
+        # analyze_s the parallel phase wall-clock, merge_s the k-way
+        # merge.
         "stages": {
-            "transport_s": best_timings.get("transport_s"),
-            "analyze_s": best_timings.get("analyze_s"),
-            "merge_s": best_timings.get("merge_s"),
-            "shard_bytes": best_timings.get("shard_bytes"),
+            "attach_s": _span_seconds(spans, "shard.attach"),
+            "analyze_s": _span_seconds(spans, "engine.analyze"),
+            "merge_s": _span_seconds(spans, "engine.merge"),
+            "shard_bytes": partition_stage["shard_bytes"],
         },
         # More workers than cores: wall-clock reflects contention, not
         # the engine (flagged so trend tooling can discount the cell).
@@ -163,8 +182,7 @@ def test_engine_scaling_summary(partitioned, engine_bench_recorder):
     if partition:
         print(
             f"  partition: {partition['partition_s']:.3f}s "
-            f"({partition['shard_bytes']:,} shard bytes, "
-            f"{partition['transport']} transport)"
+            f"({partition['shard_bytes']:,} shard bytes)"
         )
     for jobs in WORKER_COUNTS:
         cell = results.get(str(jobs))
@@ -174,7 +192,7 @@ def test_engine_scaling_summary(partitioned, engine_bench_recorder):
                 f"  jobs={jobs}: {cell['seconds']:.3f}s "
                 f"({cell['events_per_sec']:,.0f} events/s, "
                 f"speedup {data['speedup'][f'{jobs}v1']:.2f}x; "
-                f"attach {stages.get('transport_s') or 0.0:.3f}s, "
+                f"attach {stages.get('attach_s') or 0.0:.3f}s, "
                 f"analyze {stages.get('analyze_s') or 0.0:.3f}s, "
                 f"merge {stages.get('merge_s') or 0.0:.3f}s)"
             )

@@ -271,7 +271,6 @@ def _cmd_check_sharded(args) -> int:
                 tool_kwargs=kwargs,
                 kernel=kernel,
                 policy=policy,
-                transport=getattr(args, "transport", "auto"),
             )
             if name == args.tool:
                 worst = report.warning_count
@@ -311,13 +310,6 @@ def _cmd_check_sharded(args) -> int:
               file=sys.stderr)
         return 2
     finally:
-        if workdir is not None:
-            # Release any shm blocks the partition created (no-op for the
-            # mmap transport).  This also covers ``--resume DIR
-            # --transport shm``: shm partitions cannot outlive their
-            # creating process anyway, so unlinking here just beats the
-            # resource tracker's noisier exit-time backstop to it.
-            engine.Workdir(workdir).release_blocks()
         if owns_workdir:
             import shutil
 
@@ -983,14 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="engine working directory; reuses finished shards on re-run",
-    )
-    check.add_argument(
-        "--transport",
-        choices=("auto", "shm", "mmap"),
-        default="auto",
-        help="shard transport for the sharded engine: shm (zero-copy "
-        "shared-memory blocks), mmap (durable shard files — what "
-        "--resume directories use), or auto",
     )
     check.add_argument(
         "--report",

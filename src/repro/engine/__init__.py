@@ -8,8 +8,7 @@ for a single in-memory pass and to machines with more than one core, with
    read/write to ``stable_hash(variable) % nshards`` and broadcasts every
    synchronization event to all shards, publishing flat zero-copy
    columnar buffers against shared intern tables through
-   :mod:`~repro.engine.transport` (format v3: shared-memory blocks or
-   mmap'd shard files, ``transport='shm'|'mmap'|'auto'``);
+   :mod:`~repro.engine.transport` (format v3: mmap'd shard files);
 2. :mod:`~repro.engine.worker` — per-shard detector runs (optionally in
    ``multiprocessing`` workers), each seeing the complete sync order plus
    its variables' accesses, so per-variable analysis is exact;
@@ -57,11 +56,9 @@ from repro.engine.merge import (
     render_markdown,
 )
 from repro.engine.partition import (
-    attach_shard,
     iter_shard,
-    load_shard_columns,
     partition_events,
-    resolve_transport,
+    require_mmap_transport,
     shard_of,
 )
 from repro.engine.supervise import (
@@ -95,7 +92,6 @@ __all__ = [
     "ShardFailure",
     "Workdir",
     "analyze_shard",
-    "attach_shard",
     "check_events",
     "check_trace_file",
     "default_nshards",
@@ -103,7 +99,6 @@ __all__ = [
     "install_drain_handler",
     "iter_shard",
     "load_payloads",
-    "load_shard_columns",
     "merge_shard_results",
     "merge_stats",
     "merge_warnings",
@@ -111,7 +106,6 @@ __all__ = [
     "render_markdown",
     "request_drain",
     "reset_drain",
-    "resolve_transport",
     "run_shard",
     "run_supervised",
     "shard_of",
@@ -189,7 +183,6 @@ def _run(
     kernel: str,
     executor: Optional[concurrent.futures.Executor] = None,
     policy: Optional[RetryPolicy] = None,
-    transport: str = "auto",
 ) -> MergedReport:
     # Usage errors (unknown kernel mode, --kernel fused on a kernel-less
     # tool) must fail fast, not be retried and quarantined as if the
@@ -199,15 +192,6 @@ def _run(
     root = workdir if workdir is not None else tempfile.mkdtemp(
         prefix="repro-engine-"
     )
-    # ``auto`` picks shm only for engine-owned throwaway directories: a
-    # caller-provided workdir exists to survive this process (``--resume``,
-    # the service's resident partitions on disk), and shm blocks die with
-    # their creator's resource tracker.  Explicit 'shm'/'mmap' is honored
-    # either way.
-    if transport == "auto" and not owns_workdir:
-        transport = "mmap"
-    transport = resolve_transport(transport)
-    timings: Dict = {"transport": None, "partition_s": None}
     try:
         wd = Workdir(root)
         meta = wd.read_meta() if resume else None
@@ -223,21 +207,13 @@ def _run(
                 # can no longer identify).
                 wd.ensure_resumable_layout(meta)
             shards = nshards if nshards is not None else default_nshards(jobs)
-            partition_started = time.monotonic()
-            with obs.span(
-                "engine.partition", tool=tool, transport=transport
-            ) as span:
-                meta = partition_events(
-                    events_factory(), wd, shards, transport=transport
-                )
+            with obs.span("engine.partition", tool=tool) as span:
+                meta = partition_events(events_factory(), wd, shards)
                 span.set(
                     events=meta["events"], shards=meta["nshards"],
                     bytes=sum(meta.get("shard_bytes", [])),
                 )
-            timings["partition_s"] = time.monotonic() - partition_started
         count = meta["nshards"]
-        timings["transport"] = meta.get("transport", "mmap")
-        timings["shard_bytes"] = sum(meta.get("shard_bytes", []))
         if jobs > 1 and count and meta["events"] // count < MIN_EVENTS_PER_SHARD:
             obs.log.warning(
                 "engine.jobs.tiny_shards",
@@ -273,7 +249,6 @@ def _run(
                 root, pending, tool, tool_kwargs, jobs, classify, kernel,
                 executor=executor, policy=policy, trace=trace_ctx,
             ))
-        timings["analyze_s"] = time.monotonic() - submitted
         failed = {failure.shard for failure in failures}
         survivors = set(wd.completed_shards(tool, count))
         redo = [
@@ -302,36 +277,8 @@ def _run(
         payloads = [
             wd.read_result(tool, shard) for shard in sorted(survivors)
         ]
-        merge_started = time.monotonic()
         with obs.span("engine.merge", tool=tool, shards=count):
             report = merge_shard_results(payloads)
-        timings["merge_s"] = time.monotonic() - merge_started
-        # Per-shard attach cost, measured inside the workers: under v3
-        # this is the whole transport tax (there is no deserialization),
-        # and the bench's stage breakdown sums it across shards.
-        timings["transport_s"] = sum(
-            payload.get("timing", {}).get("transport_s", 0.0)
-            for payload in payloads
-        )
-        report.timings = timings
-        if obs.enabled():
-            # MergedReport.timings never reaches the result JSON (byte
-            # identity), so surface the stage breakdown as its own record:
-            # a zero-duration marker span (the ``degraded`` convention) so
-            # it never skews stage totals or the critical path.
-            obs.emit_span(
-                "engine.summary",
-                0.0,
-                tool=tool,
-                events=meta["events"],
-                shards=count,
-                partition_s=timings.get("partition_s"),
-                analyze_s=timings.get("analyze_s"),
-                merge_s=timings.get("merge_s"),
-                transport_s=timings.get("transport_s"),
-                transport=timings.get("transport"),
-                shard_bytes=timings.get("shard_bytes"),
-            )
         if quarantined:
             by_shard = {failure.shard: failure for failure in failures}
             report.degraded = {
@@ -352,14 +299,6 @@ def _run(
         return report
     finally:
         if owns_workdir:
-            # Teardown sweep: release this partition's shm blocks (if any)
-            # through their owned handles before dropping the directory —
-            # supervised failure paths must never lean on the resource
-            # tracker's exit-time backstop.
-            try:
-                Workdir(root).release_blocks()
-            except OSError:  # pragma: no cover - sweep is best-effort
-                pass
             shutil.rmtree(root, ignore_errors=True)
 
 
@@ -376,7 +315,7 @@ def check_events(
     kernel: str = "auto",
     executor: Optional[concurrent.futures.Executor] = None,
     policy: Optional[RetryPolicy] = None,
-    transport: str = "auto",
+    transport: str = "mmap",
 ) -> MergedReport:
     """Shard-check an in-memory event sequence (or any one-shot iterable).
 
@@ -384,10 +323,11 @@ def check_events(
     one across jobs to amortize worker startup); without it, ``jobs``
     decides whether a throwaway pool is spun up.  ``policy`` tunes the
     supervisor (retries, shard watchdog, run deadline — see
-    :class:`repro.engine.supervise.RetryPolicy`).  ``transport`` picks the
-    v3 shard publication (``'shm'``/``'mmap'``; ``'auto'`` uses shm only
-    for engine-owned throwaway directories).
+    :class:`repro.engine.supervise.RetryPolicy`).  ``transport`` accepts
+    only ``'mmap'``, the one shard transport; the cold-run benchmark
+    (``perfbench/``) still passes it.
     """
+    require_mmap_transport(transport)
     return _run(
         lambda: iter(events),
         tool,
@@ -400,7 +340,6 @@ def check_events(
         kernel,
         executor=executor,
         policy=policy,
-        transport=transport,
     )
 
 
@@ -418,7 +357,6 @@ def check_trace_file(
     kernel: str = "auto",
     executor: Optional[concurrent.futures.Executor] = None,
     policy: Optional[RetryPolicy] = None,
-    transport: str = "auto",
 ) -> MergedReport:
     """Shard-check a serialized trace file, streaming it during partition.
 
@@ -450,5 +388,4 @@ def check_trace_file(
         kernel,
         executor=executor,
         policy=policy,
-        transport=transport,
     )

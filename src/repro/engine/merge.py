@@ -56,13 +56,6 @@ class MergedReport:
     #: surviving shards' results are exact; the quarantined shards'
     #: variables are simply *not analyzed* — never guessed at.
     degraded: Optional[Dict] = None
-    #: Per-stage wall-clock breakdown for this run, filled in by the
-    #: engine orchestrator: ``{"partition_s", "transport_s", "analyze_s",
-    #: "merge_s", "shard_bytes", "transport"}``.  Deliberately **not**
-    #: part of :meth:`to_json` — the ``repro.result/1`` document must stay
-    #: byte-identical across runs (the CLI/service share those bytes);
-    #: timings are for benchmarks and telemetry, not the result contract.
-    timings: Optional[Dict] = None
 
     @property
     def is_degraded(self) -> bool:

@@ -21,14 +21,11 @@ out).
 Shards are published in the **v3 zero-copy columnar format** of
 :mod:`repro.engine.transport`: five flat fixed-width segments (original
 trace indices, tids, interned target ids, interned site ids, kinds) in
-one contiguous buffer per shard — a ``multiprocessing.shared_memory``
-block (``transport='shm'``) or an mmap'd ``shards/shard_NNNN.bin``
-(``transport='mmap'``, the durable fallback ``--resume`` and the service's
-resident partitions use).  Workers *attach* instead of deserializing:
-``memoryview`` casts over the buffer feed the fused kernels directly,
-so the per-event transport cost is zero regardless of worker count.
-Targets and sites are interned once into partition-wide tables (persisted
-to ``intern.bin``, and into an intern block under shm) — shard columns
+one mmap'd ``shards/shard_NNNN.bin`` per shard.  Workers *attach*
+instead of deserializing: ``memoryview`` casts over the buffer feed the
+fused kernels directly, so the per-event transport cost is zero
+regardless of worker count.  Targets and sites are interned once into
+partition-wide tables (persisted to ``intern.bin``) — shard columns
 carry dense ids only, never per-batch intern deltas.
 
 Streaming stays bounded-memory: events accumulate in per-shard batches
@@ -46,12 +43,11 @@ import os
 import struct
 import zlib
 from array import array
-from typing import Dict, Hashable, Iterable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Tuple
 
 from repro.engine import transport as _transport
 from repro.engine.checkpoint import Workdir
 from repro.trace import events as ev
-from repro.trace.columnar import ColumnarTrace
 
 #: Events appended to a batch before it spills to scratch (bounds memory).
 BATCH_EVENTS = 8192
@@ -66,16 +62,13 @@ def shard_of(target: Hashable, nshards: int) -> int:
     return zlib.crc32(repr(target).encode("utf-8")) % nshards
 
 
-def resolve_transport(transport: str) -> str:
-    """Resolve the ``auto`` transport selector against host support."""
-    if transport == "auto":
-        return "shm" if _transport.supports_shm() else "mmap"
-    if transport not in _transport.TRANSPORTS:
+def require_mmap_transport(transport: str) -> None:
+    """Refuse any transport selector but ``'mmap'``."""
+    if transport != "mmap":
         raise ValueError(
-            f"unknown transport {transport!r}; expected 'auto' or one of "
-            f"{_transport.TRANSPORTS}"
+            f"unknown transport {transport!r}; shards are mmap'd files, "
+            "the only transport is 'mmap'"
         )
-    return transport
 
 
 def partition_events(
@@ -94,20 +87,12 @@ def partition_events(
     last step, so a half-partitioned directory is recognizably incomplete
     and gets re-partitioned on resume).
 
-    ``transport`` picks the shard buffer publication: ``'shm'`` for
-    shared-memory blocks (fastest; lifetime owned by this process),
-    ``'mmap'`` for mmap-able shard files (durable across process death —
-    the default, and what resumable working directories should use), or
-    ``'auto'``.
+    ``transport`` accepts only ``'mmap'``, the one shard transport; the
+    cold-run benchmark (``perfbench/``) still passes it.
     """
     if nshards < 1:
         raise ValueError(f"nshards must be >= 1, got {nshards}")
-    transport = resolve_transport(transport)
-    # A crashed predecessor may have left shm blocks behind at this root:
-    # release whatever the previous metadata still names before its
-    # meta.json is overwritten (the block names embed a per-partition
-    # generation token, so nothing here can collide with the new run).
-    _transport.release_blocks(workdir.read_raw_meta())
+    require_mmap_transport(transport)
     generation = os.urandom(4).hex()
     spill_paths = [workdir.shard_path(s) + ".spill" for s in range(nshards)]
     streams = [open(path, "wb") for path in spill_paths]
@@ -144,7 +129,6 @@ def partition_events(
         if len(b_idx) >= batch_events:
             flush(shard)
 
-    assembler = _transport.ShardAssembler(workdir, transport, generation)
     try:
         try:
             for index, event in enumerate(events):
@@ -183,17 +167,19 @@ def partition_events(
         finally:
             for stream in streams:
                 stream.close()
-        for shard in range(nshards):
-            assembler.assemble(shard, spill_paths[shard], shard_events[shard])
+        shard_bytes = [
+            _transport.assemble_shard(
+                workdir.shard_path(shard), spill_paths[shard],
+                shard_events[shard],
+            )
+            for shard in range(nshards)
+        ]
         workdir.write_intern(targets, sites)
-        intern_block = assembler.write_intern_block(targets, sites)
     except BaseException:
-        assembler.abort()
         for path in spill_paths:
             if os.path.exists(path):
                 os.unlink(path)
         raise
-    shard_bytes = list(assembler.shard_bytes)
     meta = {
         "nshards": nshards,
         "events": total,
@@ -203,61 +189,14 @@ def partition_events(
         "shard_events": shard_events,
         "targets": len(targets),
         "sites": len(sites),
-        "transport": transport,
         "generation": generation,
         "shard_bytes": shard_bytes,
-        "blocks": {
-            "shards": list(assembler.block_names),
-            "intern": intern_block,
-        },
     }
     workdir.write_meta(meta)
     from repro import obs
 
-    obs.record_shard_bytes(sum(shard_bytes), transport=transport)
+    obs.record_shard_bytes(sum(shard_bytes))
     return meta
-
-
-def attach_shard(
-    workdir: Workdir, shard: int, meta: Optional[Dict] = None
-) -> _transport.ShardView:
-    """Attach one shard's transport buffer (see
-    :class:`repro.engine.transport.ShardView`); close it when done."""
-    if meta is None:
-        meta = workdir.read_meta()
-        if meta is None:
-            raise FileNotFoundError(
-                f"no complete v3 partition at {workdir.root!r}"
-            )
-    return _transport.attach_view(workdir, meta, shard)
-
-
-def load_shard_columns(
-    workdir: Workdir,
-    shard: int,
-    intern: Optional[Tuple[list, list]] = None,
-) -> Tuple[ColumnarTrace, "memoryview"]:
-    """Load one shard as ``(columns, original_indices)`` — zero-copy.
-
-    The returned :class:`~repro.trace.columnar.ColumnarTrace` wraps
-    ``memoryview`` casts over the shard's transport buffer and shares the
-    partition-wide intern tables (pass ``intern`` to reuse an already
-    loaded copy across shards), so fused kernels run on it directly;
-    ``original_indices[i]`` is the trace position of the shard's ``i``-th
-    event, for single-threaded-identical warning indices.  The mapping
-    stays alive as long as the returned trace does (it pins the view);
-    workers that churn through many shards should use
-    :func:`attach_shard` and close explicitly.
-    """
-    meta = workdir.read_meta()
-    if meta is None:
-        raise FileNotFoundError(
-            f"no complete v3 partition at {workdir.root!r}"
-        )
-    if intern is None:
-        intern = _transport.load_intern(workdir, meta)
-    view = _transport.attach_view(workdir, meta, shard)
-    return view.columns(intern)
 
 
 def iter_shard(workdir: Workdir, shard: int) -> Iterable[Tuple[int, ev.Event]]:

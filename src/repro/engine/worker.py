@@ -10,12 +10,12 @@ per-variable shadow state evolves identically because the sync order is
 complete).
 
 The shard arrives through the v3 zero-copy transport
-(:mod:`repro.engine.transport`): the worker *attaches* the shard's
-shared-memory block or mmap'd buffer and wraps it with ``memoryview``
-casts — no pickle framing, no per-event deserialization, no per-batch
-intern deltas.  Kernel-equipped tools (``repro.kernels.KERNEL_TOOLS``)
-run their fused loop directly over those casts; the generic object path
-reconstructs ``Event`` objects lazily from the same casts.
+(:mod:`repro.engine.transport`): the worker memory-maps the shard's
+file and wraps it with ``memoryview`` casts — no pickle framing, no
+per-event deserialization, no per-batch intern deltas.  Kernel-equipped
+tools (``repro.kernels.KERNEL_TOOLS``) run their fused loop directly
+over those casts; the generic object path reconstructs ``Event``
+objects lazily from the same casts.
 ``kernel='auto'`` (the default) picks the kernel when one exists and
 falls back to the object path otherwise; ``'fused'`` demands one;
 ``'generic'`` forces the object path.  Either way the payload is
@@ -201,17 +201,14 @@ def analyze_shard(
     across processes on one machine, so ``start - submitted`` is this
     shard's queue wait.  When telemetry is on the shard emits its own
     ``shard.analyze`` span (with ``shard.attach``/``shard.kernel``
-    children) into this process's span file; the payload still carries
-    the wall/CPU timing either way, for the stage breakdown in
-    BENCH_engine.json and the merged report's ``timings``.
+    children) into this process's span file; those spans are the shard's
+    only timing record.
     """
     if faults.active():
         faults.fire("worker.crash", shard=shard, tool=tool, attempt=attempt)
         faults.fire("worker.hang", shard=shard, tool=tool, attempt=attempt)
-    started_monotonic = time.monotonic()
-    started_cpu = time.process_time()
     queue_wait_s = (
-        max(0.0, started_monotonic - submitted)
+        max(0.0, time.monotonic() - submitted)
         if submitted is not None else 0.0
     )
     with obs.span(
@@ -222,9 +219,8 @@ def analyze_shard(
         use_fused = resolve_kernel(kernel, tool)
         classifier_payload = None
         # Attach the shard's transport buffer.  This — plus the cached
-        # intern load — is the *entire* per-shard transport cost under v3,
-        # and the payload times it separately so the stage breakdown in
-        # BENCH_engine.json can show the serialization tax is gone.
+        # intern load — is the *entire* per-shard transport cost under v3;
+        # its span shows the serialization tax is gone.
         with obs.span("shard.attach", shard=shard):
             meta = workdir.read_meta()
             if meta is None:
@@ -233,7 +229,6 @@ def analyze_shard(
                 )
             intern = _transport.load_intern(workdir, meta)
             view = _transport.attach_view(workdir, meta, shard)
-        transport_s = time.monotonic() - started_monotonic
         try:
             columns, indices = view.columns(intern)
             events_seen = len(columns)
@@ -292,7 +287,6 @@ def analyze_shard(
             events=events_seen, kernel="fused" if use_fused else "generic"
         )
 
-    ended_monotonic = time.monotonic()
     payload = {
         "payload_version": PAYLOAD_VERSION,
         "shard": shard,
@@ -300,17 +294,10 @@ def analyze_shard(
         "tool": tool,
         "events": events_seen,
         "kernel": "fused" if use_fused else "generic",
-        "transport": meta.get("transport", "mmap"),
         "warnings": [warning_to_json(w) for w in detector.warnings],
         "suppressed": detector.suppressed_warnings,
         "stats": stats_to_json(detector.stats),
         "classifier": classifier_payload,
-        "timing": {
-            "started": started_monotonic,
-            "wall_s": ended_monotonic - started_monotonic,
-            "cpu_s": time.process_time() - started_cpu,
-            "transport_s": transport_s,
-        },
     }
     workdir.write_result(tool, shard, payload)
     return payload

@@ -1,6 +1,6 @@
 """Fused WCP kernel: weak-causally-precedes over columnar shards.
 
-The structure follows :mod:`repro.kernels.basicvc`: one monomorphic loop
+The structure follows :mod:`repro.kernels.djit`: one monomorphic loop
 over the int kind column, dense tid-indexed thread tables, dense shadow
 slots, no per-event ``Event`` allocation outside of race reports.  WCP's
 twist is that the *lock* rules are the interesting ones — acquire pushes

@@ -24,10 +24,10 @@ from repro.obs.metrics import MetricsRegistry, default_registry
 #: Counter of survived failures, labelled by self-healing path.
 DEGRADED_COUNTER = "repro_degraded_total"
 
-#: Counter of shard-transport payload bytes, labelled by transport
-#: (``shm``/``mmap``).  The partitioner records the total buffer size of
-#: every partition it publishes, so the perf trajectory can correlate
-#: throughput with how many bytes actually crossed the process boundary.
+#: Counter of shard-transport payload bytes.  The partitioner records the
+#: total buffer size of every partition it publishes, so the perf
+#: trajectory can correlate throughput with how many bytes actually
+#: crossed the process boundary.
 SHARD_BYTES_COUNTER = "repro_shard_bytes_total"
 
 #: The reasons the stack currently records (docs/ROBUSTNESS.md catalog).
@@ -70,17 +70,15 @@ def record_degraded(
 
 def record_shard_bytes(
     nbytes: int,
-    transport: str,
     registry: Optional[MetricsRegistry] = None,
 ) -> None:
     """Count ``nbytes`` of published shard-transport payload.
 
     Called once per partition (not per shard, not per event), so it is
-    nowhere near a hot path; label cardinality is bounded by the
-    two-transport set.
+    nowhere near a hot path.
     """
     target = registry if registry is not None else default_registry()
     target.counter(
         SHARD_BYTES_COUNTER,
-        "Shard transport payload bytes published, by transport.",
-    ).inc(nbytes, transport=transport)
+        "Shard transport payload bytes published.",
+    ).inc(nbytes)

@@ -31,7 +31,7 @@ from repro.obs.rules import derived_rule_counts
 #: Stage span names rendered in pipeline order; anything else follows.
 _STAGE_ORDER = (
     "engine.partition", "engine.analyze", "shard.analyze", "shard.attach",
-    "shard.kernel", "engine.merge", "engine.summary", "check",
+    "shard.kernel", "engine.merge", "check",
 )
 
 
@@ -119,9 +119,8 @@ def critical_path(spans: List[Dict]) -> List[Dict]:
     Starts at the longest root (the stage that dominates the run) and at
     each level descends into the child that *finished last* — the one the
     parent was still waiting on when it closed.  Deterministic under
-    ties (span id breaks them).  Zero-duration spans (rollup markers
-    like ``engine.summary``, degraded breadcrumbs) never bound anything
-    and are ignored.
+    ties (span id breaks them).  Zero-duration spans (markers like the
+    degraded breadcrumbs) never bound anything and are ignored.
     """
     spans = [
         span for span in spans

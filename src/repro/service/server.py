@@ -23,9 +23,9 @@ lost.
 Resident partitions exist because partitioning is the per-job cost that
 does not parallelize: N tools on one trace, or M resubmissions of the
 same trace, used to re-spool and re-partition N×M times.  Now the first
-job to see a trace digest partitions it once — v3 columnar buffers via
-the **mmap transport**, so the files are durable across restarts and
-every attaching worker shares one page-cache copy — and every later
+job to see a trace digest partitions it once — v3 columnar buffers in
+mmap'd shard files, durable across restarts, with one page-cache copy
+shared by every attaching worker — and every later
 job/tool attaches to the same buffers (``repro_partitions_total``
 counts created vs reused).  A per-key lock serializes creation only;
 analysis runs concurrently.  Live analyses pin their partition against
@@ -53,7 +53,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import engine, faults, obs
 from repro.detectors import DETECTORS, default_tool_kwargs, resolve_tool_name
-from repro.engine.checkpoint import Workdir
+from repro.engine.checkpoint import CheckpointError, Workdir
 from repro.engine.worker import KERNEL_MODES
 from repro.kernels import has_kernel
 from repro.obs.metrics import EXPOSITION_CONTENT_TYPE, MetricsRegistry
@@ -560,16 +560,17 @@ class RaceService:
 
     def _ensure_partition(self, job_id: str, record: Dict, key: str) -> None:
         """Attach the job to its resident partition ``key``, creating it
-        if this trace digest has never been partitioned (or was evicted).
-        The caller must have pinned ``key``: until creation finishes the
-        directory has no ``.last_used`` stamp, so an unpinned one looks
-        idle since the epoch to the evictor.
+        if this trace digest has never been partitioned (or was evicted),
+        or if the resident copy fails :meth:`Workdir.validate_meta` (a
+        shard file missing or truncated).  The caller must have pinned
+        ``key``: until creation finishes the directory has no
+        ``.last_used`` stamp, so an unpinned one looks idle since the
+        epoch to the evictor.
 
-        Creation streams the spooled trace through the v3 partitioner
-        with the **mmap** transport — the buffers must outlive this
-        process for restart recovery, and file-backed mmap lets every
-        concurrent job share one page-cache copy.  Only creation holds
-        the per-key lock; reuse is a metadata read.
+        Creation streams the spooled trace through the v3 partitioner;
+        its shard files outlive this process for restart recovery, and
+        every concurrent job shares one page-cache copy of them.  Only
+        creation holds the per-key lock; reuse is a metadata read.
         """
         fmt = record["format"]
         shards = record["shards"]
@@ -578,7 +579,17 @@ class RaceService:
         with self._partition_lock(key):
             wd = Workdir(pdir)
             meta = wd.read_meta()
-            if meta is not None and meta.get("nshards") == shards:
+            if meta is not None:
+                try:
+                    wd.validate_meta(meta, shards)
+                except CheckpointError as error:
+                    obs.log.warning(
+                        "service.partition.invalid",
+                        f"re-creating resident partition {key}: {error}",
+                        job=job_id, partition=key,
+                    )
+                    meta = None
+            if meta is not None:
                 self.m_partitions.inc(outcome="reused")
             else:
                 os.makedirs(pdir, exist_ok=True)
@@ -594,9 +605,7 @@ class RaceService:
                 with obs.span(
                     "engine.partition", job=job_id, shards=shards
                 ):
-                    engine.partition_events(
-                        events(), wd, shards, transport="mmap"
-                    )
+                    engine.partition_events(events(), wd, shards)
                 self.m_partitions.inc(outcome="created")
             self.store.touch_partition(key)
 
@@ -662,7 +671,6 @@ class RaceService:
                 kernel=kernel,
                 executor=self._ensure_executor(),
                 policy=policy,
-                transport="mmap",
             )
             elapsed = time.monotonic() - started
             results[tool] = report.to_json()

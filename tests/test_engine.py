@@ -149,7 +149,8 @@ class TestResume:
     def test_resume_skips_completed_shards(self, tmp_path):
         """Complete two shards, then *corrupt their shard files*: a resumed
         run can only succeed by trusting the checkpoints instead of
-        re-analyzing — which is exactly the contract."""
+        re-analyzing — which is exactly the contract.  (The garbage keeps
+        each file's size: a file of the wrong size is refused up front.)"""
         trace = _racy_trace()
         single = make_detector("FastTrack").process(trace)
         root = str(tmp_path)
@@ -158,8 +159,10 @@ class TestResume:
         run_shard(root, 0, "FastTrack")
         run_shard(root, 1, "FastTrack")
         for shard in (0, 1):
-            with open(wd.shard_path(shard), "wb") as stream:
-                stream.write(b"garbage: re-analysis would crash here")
+            path = wd.shard_path(shard)
+            size = os.path.getsize(path)
+            with open(path, "wb") as stream:
+                stream.write(b"\x7f" * size)  # re-analysis would crash
         report = engine.check_events(
             trace.events,
             tool="FastTrack",

@@ -251,13 +251,12 @@ class TestKernelCLI:
         assert outputs["fused"] == outputs["generic"]
 
     def test_fused_with_kernelless_tool_errors(self, racy_file, capsys):
-        assert (
-            main(
-                ["check", racy_file, "--tool", "Empty", "--kernel", "fused"]
-            )
-            == 2
-        )
-        assert "kernel" in capsys.readouterr().err
+        for tool in ("Empty", "Eraser", "BasicVC"):
+            assert (
+                main(["check", racy_file, "--tool", tool, "--kernel", "fused"])
+                == 2
+            ), tool
+            assert "kernel" in capsys.readouterr().err, tool
 
     def test_jobs_auto(self, racy_file, capsys):
         assert main(["check", racy_file, "--jobs", "auto"]) == 1

@@ -12,6 +12,7 @@ trace and every warning-producing tool, the bytes served by
 
 import io
 import json
+import os
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -301,5 +302,40 @@ def test_evictor_pass_during_partition_creation_spares_it(
         assert evicted == []
         # Once the job is done nothing pins it, so the same pass evicts.
         assert len(handle.service.evict_idle_partitions()) == 1
+    finally:
+        handle.stop(grace=5.0)
+
+
+def _partitions_created(client):
+    for line in client.metrics().splitlines():
+        if line.startswith('repro_partitions_total{outcome="created"}'):
+            return float(line.rsplit(" ", 1)[1])
+    return 0.0
+
+
+def test_truncated_resident_partition_is_recreated(tmp_path):
+    """A resident partition whose shard file was cut short is treated as
+    absent: the next job on that trace re-creates it from the spooled
+    trace, analyzes it, and serves the reference bytes."""
+    handle = start_in_thread(
+        ServiceConfig(port=0, workers=1, store_dir=str(tmp_path / "store"))
+    )
+    try:
+        client = Client(port=handle.port, timeout=30.0)
+        trace = str(DATA / "tsp_small.trace")
+        expected = _check_json([trace, "--tool", "DJIT+", "--shards", "2"])
+        first = client.submit(path=trace, tools=["FastTrack"], shards=2)
+        client.wait(first["id"], timeout=60.0, poll=0.05)
+        assert _partitions_created(client) == 1
+        key = client.status(first["id"])["partition"]
+        resident = engine.Workdir(handle.service.store.partition_dir(key))
+        path = resident.shard_path(1)
+        with open(path, "r+b") as stream:
+            stream.truncate(os.path.getsize(path) // 2)
+        second = client.submit(path=trace, tools=["DJIT+"], shards=2)
+        client.wait(second["id"], timeout=60.0, poll=0.05)
+        assert client.status(second["id"])["partition"] == key
+        assert client.result_bytes(second["id"]).decode("utf-8") == expected
+        assert _partitions_created(client) == 2
     finally:
         handle.stop(grace=5.0)
