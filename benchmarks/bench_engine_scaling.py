@@ -6,7 +6,7 @@ buffers (the v3 transport), then analyze shards on N worker processes
 that attach to the buffers without deserializing anything.  This
 benchmark measures both halves separately:
 
-* the **partition** stage — one streamed pass over the trace (an
+* the **partition** stage — one pass over the trace's columns (an
   Eclipse-style ``Import`` operation, the paper's heaviest workload
   shape, ≥200k events at the default scale), run once; its published
   ``shard_bytes`` is the entire transport payload (33 bytes/event plus

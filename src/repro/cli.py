@@ -317,8 +317,13 @@ def _cmd_check_sharded(args) -> int:
     if args.json:
         _print_json_results(json_results, args)
     if args.report is not None and selected is not None:
+        text = engine.render_markdown(selected)
+        if args.report.endswith(".html"):
+            from repro.report import _markdown_to_html
+
+            text = _markdown_to_html(text)
         with open(args.report, "w", encoding="utf-8") as stream:
-            stream.write(engine.render_markdown(selected))
+            stream.write(text)
         print(
             f"report written to {args.report}",
             file=sys.stderr if args.json else sys.stdout,
@@ -356,7 +361,7 @@ def _cmd_check_single(args) -> int:
         )
         return 2
     try:
-        with obs.span("check.read", trace=args.trace) as read_span:
+        with obs.span("trace.serialize", trace=args.trace) as read_span:
             trace = _read_trace(args.trace, args.format)
             read_span.set(events=len(trace))
     except serialize.TraceParseError as error:

@@ -1,14 +1,16 @@
-"""Sharded, streaming, parallel offline race-checking engine.
+"""Sharded, parallel offline race-checking engine.
 
-``repro.engine`` scales the offline analyses to traces that are too large
-for a single in-memory pass and to machines with more than one core, with
-*zero* precision loss.  Four layers (one module each):
+``repro.engine`` scales the offline analyses to machines with more than
+one core, and makes long runs resumable, with *zero* precision loss.  A
+trace file is parsed once into interned columns (:func:`read_columns`).
+Four layers (one module each):
 
-1. :mod:`~repro.engine.partition` — a single streaming pass routes each
-   read/write to ``stable_hash(variable) % nshards`` and broadcasts every
-   synchronization event to all shards, publishing flat zero-copy
-   columnar buffers against shared intern tables through
-   :mod:`~repro.engine.transport` (format v3: mmap'd shard files);
+1. :mod:`~repro.engine.partition` — one pass over the trace's parsed
+   columns routes each read/write to ``stable_hash(variable) % nshards``
+   and broadcasts every synchronization event to all shards, publishing
+   flat zero-copy columnar buffers against the parser's intern tables
+   through :mod:`~repro.engine.transport` (format v3: mmap'd shard
+   files);
 2. :mod:`~repro.engine.worker` — per-shard detector runs (optionally in
    ``multiprocessing`` workers), each seeing the complete sync order plus
    its variables' accesses, so per-variable analysis is exact;
@@ -43,7 +45,7 @@ import shutil
 import signal
 import tempfile
 import time
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro import obs
 
@@ -58,6 +60,7 @@ from repro.engine.merge import (
 from repro.engine.partition import (
     iter_shard,
     partition_events,
+    partition_trace,
     require_mmap_transport,
     shard_of,
 )
@@ -80,7 +83,7 @@ from repro.engine.worker import (
     run_shard,
 )
 from repro.trace import events as ev
-from repro.trace import serialize
+from repro.trace.columnar import ColumnarTrace
 
 __all__ = [
     "CheckpointError",
@@ -103,6 +106,8 @@ __all__ = [
     "merge_stats",
     "merge_warnings",
     "partition_events",
+    "partition_trace",
+    "read_columns",
     "render_markdown",
     "request_drain",
     "reset_drain",
@@ -171,8 +176,18 @@ def _run_pending(
             _restore_sigterm(previous)
 
 
+def read_columns(path: str, fmt: str = "text") -> ColumnarTrace:
+    """Parse a serialized trace file (``fmt`` ``'text'`` or ``'jsonl'``)
+    straight into interned columns, under a ``trace.serialize`` span."""
+    with obs.span("trace.serialize", trace=path) as span:
+        with open(path, "r", encoding="utf-8") as stream:
+            columns = ColumnarTrace.from_file(stream, fmt)
+        span.set(events=len(columns))
+    return columns
+
+
 def _run(
-    events_factory: Callable[[], Iterator[ev.Event]],
+    columns_factory: Callable[[], ColumnarTrace],
     tool: str,
     nshards: Optional[int],
     jobs: int,
@@ -208,7 +223,7 @@ def _run(
                 wd.ensure_resumable_layout(meta)
             shards = nshards if nshards is not None else default_nshards(jobs)
             with obs.span("engine.partition", tool=tool) as span:
-                meta = partition_events(events_factory(), wd, shards)
+                meta = partition_trace(columns_factory(), wd, shards)
                 span.set(
                     events=meta["events"], shards=meta["nshards"],
                     bytes=sum(meta.get("shard_bytes", [])),
@@ -329,7 +344,7 @@ def check_events(
     """
     require_mmap_transport(transport)
     return _run(
-        lambda: iter(events),
+        lambda: ColumnarTrace.from_events(events),
         tool,
         nshards,
         jobs,
@@ -358,26 +373,15 @@ def check_trace_file(
     executor: Optional[concurrent.futures.Executor] = None,
     policy: Optional[RetryPolicy] = None,
 ) -> MergedReport:
-    """Shard-check a serialized trace file, streaming it during partition.
+    """Shard-check a serialized trace file.
 
-    The file is read through :func:`repro.trace.serialize.iter_load` (or
-    ``iter_load_jsonl``), so the full event list is never materialized; a
-    resumed run whose partition already exists does not read it at all.
-    ``executor`` lends the run a persistent pool (see :func:`check_events`).
+    The file is parsed by :func:`read_columns` straight into columns, so
+    no :class:`~repro.trace.events.Event` is built; a resumed run whose
+    partition already exists does not read it at all.  ``executor``
+    lends the run a persistent pool (see :func:`check_events`).
     """
-
-    def events_factory() -> Iterator[ev.Event]:
-        def generate() -> Iterator[ev.Event]:
-            with open(path, "r", encoding="utf-8") as stream:
-                if fmt == "jsonl":
-                    yield from serialize.iter_load_jsonl(stream)
-                else:
-                    yield from serialize.iter_load(stream)
-
-        return generate()
-
     return _run(
-        events_factory,
+        lambda: read_columns(path, fmt),
         tool,
         nshards,
         jobs,

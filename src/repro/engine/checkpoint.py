@@ -169,6 +169,8 @@ class Workdir:
                     (targets, sites), stream,
                     protocol=pickle.HIGHEST_PROTOCOL,
                 )
+                stream.flush()
+                os.fsync(stream.fileno())
             os.replace(tmp, self.intern_path)
         except BaseException:
             if os.path.exists(tmp):

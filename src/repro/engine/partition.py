@@ -1,10 +1,10 @@
-"""Streaming trace partitioner: one pass, bounded memory, N shard buffers.
+"""Trace partitioner: parsed columns in, N shard buffers out.
 
 FastTrack's analysis state factors into (a) the synchronization order —
 thread/lock/volatile vector clocks, advanced only by sync operations — and
 (b) per-variable shadow state, advanced only by that variable's accesses
-(PAPER.md Figure 5).  The partitioner exploits this: it streams the event
-sequence once and
+(PAPER.md Figure 5).  The partitioner exploits this: it walks the trace's
+columns once and
 
 * **broadcasts** every non-access event (acquire/release, fork/join,
   volatile accesses, barrier releases, enter/exit boundaries) to *all*
@@ -18,43 +18,30 @@ the paper's Theorem 1 argument, exactly the information needed to check
 those variables with full precision (docs/ENGINE.md spells the argument
 out).
 
-Shards are published in the **v3 zero-copy columnar format** of
-:mod:`repro.engine.transport`: five flat fixed-width segments (original
-trace indices, tids, interned target ids, interned site ids, kinds) in
-one mmap'd ``shards/shard_NNNN.bin`` per shard.  Workers *attach*
-instead of deserializing: ``memoryview`` casts over the buffer feed the
-fused kernels directly, so the per-event transport cost is zero
-regardless of worker count.  Targets and sites are interned once into
-partition-wide tables (persisted to ``intern.bin``) — shard columns
-carry dense ids only, never per-batch intern deltas.
-
-Streaming stays bounded-memory: events accumulate in per-shard batches
-(:data:`BATCH_EVENTS`) that spill to scratch files, and the final buffers
-are assembled segment-by-segment once the per-shard counts are known.
-The variable hash is ``zlib.crc32`` over ``repr`` rather than builtin
-``hash`` because the latter is randomized per process: shard assignment
-must be stable across the CLI invocations of an interrupted-then-resumed
-run.
+The input is a :class:`~repro.trace.columnar.ColumnarTrace`: the parser
+has already interned targets and sites into the trace's tables, which
+become the partition-wide ``intern.bin``, so shard columns carry dense
+ids only.  Shards are published in the **v3 zero-copy columnar format**
+of :mod:`repro.engine.transport`: five flat fixed-width segments
+(original trace indices, tids, interned target ids, interned site ids,
+kinds) in one mmap'd ``shards/shard_NNNN.bin`` per shard, each written
+once.  The variable hash is ``zlib.crc32`` over ``repr`` rather than
+builtin ``hash`` because the latter is randomized per process: shard
+assignment must be stable across the CLI invocations of an
+interrupted-then-resumed run.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 import zlib
 from array import array
-from typing import Dict, Hashable, Iterable, Tuple
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 from repro.engine import transport as _transport
 from repro.engine.checkpoint import Workdir
 from repro.trace import events as ev
-
-#: Events appended to a batch before it spills to scratch (bounds memory).
-BATCH_EVENTS = 8192
-
-_ACCESS_KINDS = (ev.READ, ev.WRITE)
-
-_FRAME_HEADER = struct.Struct("<q")
+from repro.trace.columnar import ColumnarTrace
 
 
 def shard_of(target: Hashable, nshards: int) -> int:
@@ -71,124 +58,40 @@ def require_mmap_transport(transport: str) -> None:
         )
 
 
-def partition_events(
-    events: Iterable[ev.Event],
-    workdir: Workdir,
-    nshards: int,
-    batch_events: int = BATCH_EVENTS,
-    transport: str = "mmap",
+def partition_trace(
+    columns: ColumnarTrace, workdir: Workdir, nshards: int
 ) -> Dict:
-    """Stream ``events`` into ``nshards`` v3 columnar shard buffers.
+    """Write ``columns`` as ``nshards`` v3 columnar shard buffers.
 
-    Targets and sites are interned into partition-wide tables (written to
-    ``intern.bin`` before the metadata), so every shard's columns index
-    the same tables and workers can share one loaded copy.  Returns the
-    partition metadata (also persisted as ``meta.json``; its write is the
-    last step, so a half-partitioned directory is recognizably incomplete
-    and gets re-partitioned on resume).
-
-    ``transport`` accepts only ``'mmap'``, the one shard transport; the
-    cold-run benchmark (``perfbench/``) still passes it.
+    The intern tables (written to ``intern.bin`` before the metadata)
+    are the trace's own, so every shard's columns index the same tables
+    and workers can share one loaded copy.  Returns the partition
+    metadata (also persisted as ``meta.json``; its write is the last
+    step, so a half-partitioned directory is recognizably incomplete and
+    gets re-partitioned on resume).
     """
     if nshards < 1:
         raise ValueError(f"nshards must be >= 1, got {nshards}")
-    require_mmap_transport(transport)
     generation = os.urandom(4).hex()
-    spill_paths = [workdir.shard_path(s) + ".spill" for s in range(nshards)]
-    streams = [open(path, "wb") for path in spill_paths]
-    batches = [([], [], [], [], []) for _ in range(nshards)]
-    shard_events = [0] * nshards
-    total = reads = writes = 0
-    targets: list = []
-    sites: list = []
-    target_index: Dict[Hashable, int] = {}
-    site_index: Dict[Hashable, int] = {}
-
-    def flush(shard: int) -> None:
-        b_idx, b_kind, b_tid, b_target, b_site = batches[shard]
-        if b_idx:
-            stream = streams[shard]
-            stream.write(_FRAME_HEADER.pack(len(b_idx)))
-            stream.write(array("q", b_idx).tobytes())
-            stream.write(bytes(b_kind))
-            stream.write(array("q", b_tid).tobytes())
-            stream.write(array("q", b_target).tobytes())
-            stream.write(array("q", b_site).tobytes())
-            for column in batches[shard]:
-                column.clear()
-
-    def append(shard: int, index: int, kind: int, tid: int,
-               target_id: int, site_id: int) -> None:
-        b_idx, b_kind, b_tid, b_target, b_site = batches[shard]
-        b_idx.append(index)
-        b_kind.append(kind)
-        b_tid.append(tid)
-        b_target.append(target_id)
-        b_site.append(site_id)
-        shard_events[shard] += 1
-        if len(b_idx) >= batch_events:
-            flush(shard)
-
-    try:
-        try:
-            for index, event in enumerate(events):
-                kind = event.kind
-                target = event.target
-                target_id = target_index.get(target)
-                if target_id is None:
-                    target_id = len(targets)
-                    target_index[target] = target_id
-                    targets.append(target)
-                site = event.site
-                if site is None:
-                    site_id = -1
-                else:
-                    site_id = site_index.get(site)
-                    if site_id is None:
-                        site_id = len(sites)
-                        site_index[site] = site_id
-                        sites.append(site)
-                if kind in _ACCESS_KINDS:
-                    shard = shard_of(target, nshards)
-                    append(shard, index, kind, event.tid, target_id, site_id)
-                    if kind == ev.READ:
-                        reads += 1
-                    else:
-                        writes += 1
-                else:
-                    # Sync / boundary event: every shard needs the full
-                    # synchronization order to keep its vector clocks exact.
-                    for shard in range(nshards):
-                        append(shard, index, kind, event.tid,
-                               target_id, site_id)
-                total += 1
-            for shard in range(nshards):
-                flush(shard)
-        finally:
-            for stream in streams:
-                stream.close()
-        shard_bytes = [
-            _transport.assemble_shard(
-                workdir.shard_path(shard), spill_paths[shard],
-                shard_events[shard],
-            )
-            for shard in range(nshards)
-        ]
-        workdir.write_intern(targets, sites)
-    except BaseException:
-        for path in spill_paths:
-            if os.path.exists(path):
-                os.unlink(path)
-        raise
+    selections = [None] if nshards == 1 else _selections(columns, nshards)
+    shard_events = [
+        _transport.write_shard(workdir.shard_path(shard), columns, selection)
+        for shard, selection in enumerate(selections)
+    ]
+    shard_bytes = [_transport.shard_nbytes(n) for n in shard_events]
+    workdir.write_intern(columns.targets, columns.sites)
+    counts = columns.kind_counts()
+    reads = counts.get(ev.READ, 0)
+    writes = counts.get(ev.WRITE, 0)
     meta = {
         "nshards": nshards,
-        "events": total,
+        "events": len(columns),
         "reads": reads,
         "writes": writes,
-        "other": total - reads - writes,
+        "other": len(columns) - reads - writes,
         "shard_events": shard_events,
-        "targets": len(targets),
-        "sites": len(sites),
+        "targets": len(columns.targets),
+        "sites": len(columns.sites),
         "generation": generation,
         "shard_bytes": shard_bytes,
     }
@@ -199,6 +102,44 @@ def partition_events(
     return meta
 
 
+def _selections(columns: ColumnarTrace, nshards: int) -> List[array]:
+    """Each shard's selection: the trace positions it keeps, in order.
+
+    An access goes to its variable's shard (``shard_of`` runs once per
+    distinct target); a sync or boundary event goes to every shard, which
+    needs the full synchronization order to keep its vector clocks exact.
+    """
+    owner = [shard_of(target, nshards) for target in columns.targets]
+    selections = [array("q") for _ in range(nshards)]
+    appends = [selection.append for selection in selections]
+    READ, WRITE = ev.READ, ev.WRITE
+    for index, (kind, target_id) in enumerate(
+        zip(columns.kinds, columns.target_ids)
+    ):
+        if kind == READ or kind == WRITE:
+            appends[owner[target_id]](index)
+        else:
+            for append in appends:
+                append(index)
+    return selections
+
+
+def partition_events(
+    events: Iterable[ev.Event],
+    workdir: Workdir,
+    nshards: int,
+    transport: str = "mmap",
+) -> Dict:
+    """:func:`partition_trace` over an in-memory (or one-shot) event
+    sequence, interned into columns first.
+
+    ``transport`` accepts only ``'mmap'``, the one shard transport; the
+    cold-run benchmark (``perfbench/``) still passes it.
+    """
+    require_mmap_transport(transport)
+    return partition_trace(ColumnarTrace.from_events(events), workdir, nshards)
+
+
 def iter_shard(workdir: Workdir, shard: int) -> Iterable[Tuple[int, ev.Event]]:
     """Yield a shard's ``(original_index, event)`` pairs in order,
     reconstructing :class:`Event` objects for the generic object path."""
@@ -207,20 +148,10 @@ def iter_shard(workdir: Workdir, shard: int) -> Iterable[Tuple[int, ev.Event]]:
         raise FileNotFoundError(
             f"no complete v3 partition at {workdir.root!r}"
         )
-    targets, sites = _transport.load_intern(workdir, meta)
+    intern = _transport.load_intern(workdir, meta)
     view = _transport.attach_view(workdir, meta, shard)
     try:
-        columns, indices = view.columns((targets, sites))
-        Event = ev.Event
-        for index, kind, tid, target_id, site_id in zip(
-            indices, columns.kinds, columns.tids,
-            columns.target_ids, columns.site_ids,
-        ):
-            yield index, Event(
-                kind,
-                tid,
-                targets[target_id],
-                sites[site_id] if site_id >= 0 else None,
-            )
+        columns, indices = view.columns(intern)
+        yield from zip(indices, columns.iter_events())
     finally:
         view.close()

@@ -30,28 +30,25 @@ from __future__ import annotations
 
 import mmap
 import os
-import struct
 import threading
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.trace.columnar import ColumnarTrace
 
 __all__ = [
     "ShardView",
-    "assemble_shard",
     "attach_view",
     "load_intern",
     "shard_file_size",
     "shard_layout",
     "shard_nbytes",
+    "write_shard",
 ]
 
 #: Segment order inside a shard buffer: four int64 columns, then the int8
 #: kind column (last, so the 8-byte columns never need padding).
 _INT64_SEGMENTS = ("indices", "tids", "target_ids", "site_ids")
-
-#: One spill frame: event count, then the five segments' raw bytes.
-_FRAME_HEADER = struct.Struct("<q")
 
 #: Per-process intern-table cache: (root, generation) → (targets, sites).
 #: Pool workers analyze many (tool, shard) pairs against one partition;
@@ -86,45 +83,38 @@ def shard_file_size(n: int) -> int:
 # -- writer side ---------------------------------------------------------------
 
 
-def assemble_shard(path: str, spill_path: str, n: int) -> int:
-    """Write one shard's spill frames to ``path`` as its final v3
-    buffer; returns the buffer's size (33 bytes/event).
+def write_shard(
+    path: str, columns: ColumnarTrace, selection: Optional[array]
+) -> int:
+    """Write one shard's v3 buffer to ``path``; returns its event count.
 
-    The partitioner streams events into per-shard spill files (bounded
-    memory: one batch per shard in flight), which fixes each shard's
-    event count before its buffer is laid out.
+    ``selection`` holds the trace positions the shard keeps, in order
+    (it is the shard's ``indices`` segment); the other four segments are
+    gathered from ``columns`` at those positions.  ``None`` keeps every
+    position (a one-shard partition), written straight from the columns.
+    The file is flushed and fsynced: the partition's ``meta.json``,
+    written after every shard, certifies it.
     """
-    size = shard_file_size(n)
+    columns_in_layout = (
+        columns.tids, columns.target_ids, columns.site_ids, columns.kinds,
+    )
+    if selection is None:
+        segments = [array("q", range(len(columns))), *columns_in_layout]
+    else:
+        segments = [selection] + [
+            array(column.typecode, [column[i] for i in selection])
+            for column in columns_in_layout
+        ]
+    n = len(segments[0])
     with open(path, "wb") as stream:
-        stream.truncate(size)
-    handle = open(path, "r+b")
-    m = mmap.mmap(handle.fileno(), size)
-    target = memoryview(m)
-    offsets = {name: offset for name, (offset, _) in shard_layout(n).items()}
-    try:
-        with open(spill_path, "rb") as spill:
-            while True:
-                header = spill.read(_FRAME_HEADER.size)
-                if not header:
-                    break
-                (count,) = _FRAME_HEADER.unpack(header)
-                for segment, width in (
-                    ("indices", 8), ("kinds", 1), ("tids", 8),
-                    ("target_ids", 8), ("site_ids", 8),
-                ):
-                    chunk = spill.read(width * count)
-                    if len(chunk) != width * count:
-                        raise OSError(f"truncated spill file {spill_path!r}")
-                    offset = offsets[segment]
-                    target[offset:offset + len(chunk)] = chunk
-                    offsets[segment] = offset + len(chunk)
-    finally:
-        target.release()
-        m.flush()
-        m.close()
-        handle.close()
-    os.unlink(spill_path)
-    return shard_nbytes(n)
+        if n:
+            for segment in segments:
+                stream.write(segment)
+        else:
+            stream.write(bytes(shard_file_size(0)))
+        stream.flush()
+        os.fsync(stream.fileno())
+    return n
 
 
 # -- reader side ---------------------------------------------------------------

@@ -166,7 +166,8 @@ def resolve_kernel(kernel: str, tool: str) -> bool:
 
 def _tally_kinds(stats: CostStats, kind_counts: Dict[int, int]) -> None:
     """Per-shard equivalent of :meth:`Detector.absorb_kind_counts`, taken
-    from counts accumulated while streaming (the stream is consumed once)."""
+    from the shard columns'
+    :meth:`~repro.trace.columnar.ColumnarTrace.kind_counts`."""
     for kind, count in kind_counts.items():
         stats.events += count
         if kind == ev.READ:
@@ -251,23 +252,10 @@ def analyze_shard(
                         detector = make_detector(tool, **(tool_kwargs or {}))
                         use_fused = False
                 if not use_fused:
-                    kind_counts: Dict[int, int] = {}
                     handle = detector.handle
-                    targets, sites = intern
-                    Event = ev.Event
-                    for index, kind, tid, target_id, site_id in zip(
-                        indices, columns.kinds, columns.tids,
-                        columns.target_ids, columns.site_ids,
-                    ):
-                        event = Event(
-                            kind,
-                            tid,
-                            targets[target_id],
-                            sites[site_id] if site_id >= 0 else None,
-                        )
+                    for index, event in zip(indices, columns.iter_events()):
                         handle(event, index=index)
-                        kind_counts[kind] = kind_counts.get(kind, 0) + 1
-                    _tally_kinds(detector.stats, kind_counts)
+                    _tally_kinds(detector.stats, columns.kind_counts())
                 kspan.set(
                     events=events_seen,
                     kernel="fused" if use_fused else "generic",

@@ -8,8 +8,8 @@ wants on one screen:
 * per-detector rule frequencies — counts and fractions, same-epoch fast
   paths derived by :mod:`repro.obs.rules`, i.e. Figure 2 for *this*
   trace;
-* stage timings from the spans (partition → shard.analyze → merge), with
-  events/sec wherever a span carries an event count;
+* stage timings from the spans (serialize → partition → shard.analyze →
+  merge), with events/sec wherever a span carries an event count;
 * the **critical path** — the chain of spans that bounds wall-clock,
   stitched across every process that wrote to the telemetry dir;
 * shard balance (events, VC ops, wall time per shard) — the engine's
@@ -30,8 +30,9 @@ from repro.obs.rules import derived_rule_counts
 
 #: Stage span names rendered in pipeline order; anything else follows.
 _STAGE_ORDER = (
-    "engine.partition", "engine.analyze", "shard.analyze", "shard.attach",
-    "shard.kernel", "engine.merge", "check",
+    "trace.serialize", "engine.partition", "engine.analyze",
+    "shard.analyze", "shard.attach", "shard.kernel", "engine.merge",
+    "check",
 )
 
 

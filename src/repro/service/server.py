@@ -64,13 +64,7 @@ from repro.service.debug import debug_snapshot, render_html
 from repro.service.queue import JobQueue, QueueClosed, QueueFull
 from repro.service.routes import Router
 from repro.service.store import JobStore
-from repro.trace.serialize import (
-    TraceParseError,
-    dumps_jsonl,
-    event_from_json,
-    iter_load,
-    iter_load_jsonl,
-)
+from repro.trace.serialize import TraceParseError, dumps_jsonl, event_from_json
 
 #: Upload formats the daemon accepts, and the content types that imply them.
 TRACE_FORMATS = ("text", "jsonl")
@@ -567,10 +561,11 @@ class RaceService:
         ``.last_used`` stamp, so an unpinned one looks idle since the
         epoch to the evictor.
 
-        Creation streams the spooled trace through the v3 partitioner;
-        its shard files outlive this process for restart recovery, and
-        every concurrent job shares one page-cache copy of them.  Only
-        creation holds the per-key lock; reuse is a metadata read.
+        Creation parses the spooled trace into columns and writes them
+        through the v3 partitioner; its shard files outlive this process
+        for restart recovery, and every concurrent job shares one
+        page-cache copy of them.  Only creation holds the per-key lock;
+        reuse is a metadata read.
         """
         fmt = record["format"]
         shards = record["shards"]
@@ -593,19 +588,15 @@ class RaceService:
                 self.m_partitions.inc(outcome="reused")
             else:
                 os.makedirs(pdir, exist_ok=True)
-
-                def events():
-                    trace = self.store.trace_path(job_id, fmt)
-                    with open(trace, "r", encoding="utf-8") as stream:
-                        if fmt == "jsonl":
-                            yield from iter_load_jsonl(stream)
-                        else:
-                            yield from iter_load(stream)
-
                 with obs.span(
                     "engine.partition", job=job_id, shards=shards
                 ):
-                    engine.partition_events(events(), wd, shards)
+                    engine.partition_trace(
+                        engine.read_columns(
+                            self.store.trace_path(job_id, fmt), fmt
+                        ),
+                        wd, shards,
+                    )
                 self.m_partitions.inc(outcome="created")
             self.store.touch_partition(key)
 
@@ -910,9 +901,9 @@ def h_submit(handler: "_Handler", service: RaceService,
             raise
     else:
         # The streaming path: the body (chunked or sized) is spooled to
-        # the job directory in fixed-size pieces — an arbitrarily large
-        # trace never materializes in daemon memory, and the engine's
-        # iter_load/iter_load_jsonl readers stream it from disk.
+        # the job directory in fixed-size pieces, so the upload never
+        # sits in daemon memory; the engine parses the spooled file into
+        # columns (engine.read_columns).
         fmt = fmt or _CONTENT_TYPE_FORMATS.get(content_type, "text")
         spec = service.build_spec(
             tools or ["FastTrack"], shards, kernel or "auto", fmt

@@ -21,15 +21,17 @@ with list indexing.  The builders stream: :meth:`ColumnarTrace.from_events`
 consumes any one-shot iterable one event at a time, and
 :meth:`from_text_lines` / :meth:`from_jsonl_lines` parse serialized traces
 through :func:`repro.trace.serialize.iter_parse_parts` without constructing
-``Event`` objects at all.  :meth:`to_events` reconstructs the exact event
-sequence (same kinds, tids, targets, and sites), so the representation is
-lossless — the round-trip tests in ``tests/test_columnar.py`` enforce it
+``Event`` objects at all (:meth:`from_file` is how the sharded engine and
+the daemon read a trace file).  :meth:`to_events` reconstructs the exact
+event sequence (same kinds, tids, targets, and sites), so the
+representation is lossless — the round-trip tests in ``tests/test_columnar.py`` enforce it
 over the golden corpus.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, TextIO
 
 from repro.trace import events as ev
@@ -95,9 +97,6 @@ class ColumnarTrace:
         self.tids.append(tid)
         self.target_ids.append(target_id)
         self.site_ids.append(site_id)
-
-    def append_event(self, event: ev.Event) -> None:
-        self.append(event.kind, event.tid, event.target, event.site)
 
     @classmethod
     def from_events(cls, events: Iterable[ev.Event]) -> "ColumnarTrace":
@@ -255,10 +254,7 @@ class ColumnarTrace:
 
     def kind_counts(self) -> Dict[int, int]:
         """Per-kind event tallies from one pass over the int column."""
-        counts: Dict[int, int] = {}
-        for kind in self.kinds:
-            counts[kind] = counts.get(kind, 0) + 1
-        return counts
+        return dict(Counter(self.kinds))
 
     def __repr__(self) -> str:
         return (

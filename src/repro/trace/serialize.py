@@ -319,9 +319,8 @@ def iter_parse(lines: Iterable[str]) -> Iterator[ev.Event]:
     """Stream-parse the text format, one event at a time.
 
     Comments and blank lines are skipped.  Parse failures re-raise with the
-    1-based line number and offending text attached.  This is the streaming
-    entry point the sharded engine uses: it never materializes the full
-    event list, so traces larger than memory can be partitioned.
+    1-based line number and offending text attached.  (The sharded engine
+    parses with :func:`iter_parse_parts` straight into columns instead.)
     """
     return starmap(ev.Event, iter_parse_parts(lines))
 
@@ -439,22 +438,7 @@ def iter_parse_jsonl(lines: Iterable[str]) -> Iterator[ev.Event]:
     silently buffered out — iteration ends cleanly instead of raising.
     Newline-terminated garbage still raises wherever it appears.
     """
-    for lineno, raw_line, unterminated in _flagged_lines(lines):
-        line = raw_line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            if unterminated:
-                return
-            raise TraceParseError(
-                f"invalid JSON ({error.msg})", lineno=lineno, line=line
-            ) from None
-        try:
-            yield event_from_json(record)
-        except TraceParseError as error:
-            raise TraceParseError(str(error), lineno=lineno, line=line) from None
+    return starmap(ev.Event, iter_parse_parts_jsonl(lines))
 
 
 def iter_load_jsonl(stream: Iterable[str]) -> Iterator[ev.Event]:

@@ -150,7 +150,19 @@ class TestCheckSharded:
             main(["check", racy_file, "--shards", "2", "--report", str(report)])
             == 1
         )
-        assert "Engine report" in report.read_text()
+        assert report.read_text().startswith("# Engine report")
+
+    def test_sharded_html_report_by_extension(
+        self, racy_file, tmp_path, capsys
+    ):
+        report = tmp_path / "report.html"
+        assert (
+            main(["check", racy_file, "--shards", "2", "--report", str(report)])
+            == 1
+        )
+        text = report.read_text()
+        assert text.startswith("<!DOCTYPE html>")
+        assert "<h1>Engine report" in text
 
     def test_parse_error_shows_line_number(self, tmp_path, capsys):
         path = tmp_path / "bad.trace"

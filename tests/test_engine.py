@@ -72,19 +72,6 @@ class TestPartition:
             ]
         assert len(access_seen) == meta["reads"] + meta["writes"]
 
-    def test_small_batches_flush_correctly(self, tmp_path):
-        trace = _racy_trace(max_events=200)
-        wd = Workdir(str(tmp_path))
-        partition_events(iter(trace.events), wd, 2, batch_events=7)
-        recovered = sorted(
-            [pair for s in range(2) for pair in iter_shard(wd, s)],
-            key=lambda pair: pair[0],
-        )
-        accesses = [p for p in recovered if p[1].kind in (ev.READ, ev.WRITE)]
-        assert [e for _, e in accesses] == [
-            e for e in trace.events if e.kind in (ev.READ, ev.WRITE)
-        ]
-
     def test_rejects_zero_shards(self, tmp_path):
         with pytest.raises(ValueError):
             partition_events(iter([]), Workdir(str(tmp_path)), 0)

@@ -20,6 +20,7 @@ import pytest
 
 from repro import cli, engine
 from repro.bench.harness import WARNING_TOOLS
+from repro.engine import transport
 from repro.service.client import Client, JobFailed, ServiceError
 from repro.service.server import ServiceConfig, start_in_thread
 from repro.trace import serialize
@@ -277,21 +278,17 @@ def test_evictor_pass_during_partition_creation_spares_it(
         ServiceConfig(port=0, workers=1, store_dir=str(tmp_path / "store"),
                       ttl_seconds=0.0, eviction_interval=3600.0)
     )
-    partition_events = engine.partition_events
+    write_shard = transport.write_shard
     evicted = []
 
-    def partition_with_a_pass(events, *args, **kwargs):
-        def events_then_pass():
-            for index, event in enumerate(events):
-                if index == 1:
-                    # Mid-creation: shard files are being written and
-                    # there is no .last_used stamp yet.
-                    evicted.extend(handle.service.evict_idle_partitions())
-                yield event
+    def write_shard_then_pass(*args, **kwargs):
+        written = write_shard(*args, **kwargs)
+        # Mid-creation: a shard file is on disk, meta.json is not, and
+        # there is no .last_used stamp yet.
+        evicted.extend(handle.service.evict_idle_partitions())
+        return written
 
-        return partition_events(events_then_pass(), *args, **kwargs)
-
-    monkeypatch.setattr(engine, "partition_events", partition_with_a_pass)
+    monkeypatch.setattr(transport, "write_shard", write_shard_then_pass)
     try:
         client = Client(port=handle.port, timeout=30.0)
         trace = str(DATA / "tsp_small.trace")
