@@ -67,7 +67,7 @@ def _run_raw(columns):
 def _run_instrumented(columns):
     """The analysis as the instrumented CLI/engine executes it: a span
     around the run, a batched rule flush after it."""
-    with obs.span("check.analyze", tool=TOOL, events=len(columns)) as span:
+    with obs.span("kernels", tool=TOOL, events=len(columns)) as span:
         detector = run_kernel(TOOL, columns)
     obs.record_rules(TOOL, detector.stats)
     del span

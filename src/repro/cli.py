@@ -36,13 +36,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.bench.workload import WORKLOADS
-from repro.detectors import (
-    DETECTORS,
-    default_tool_kwargs,
-    make_detector,
-    resolve_tool_name,
-)
+from repro.detectors import DETECTORS, default_tool_kwargs, resolve_tool_name
 from repro.trace import serialize
 from repro.trace.clocks import annotate as annotate_clocks
 from repro.trace.feasibility import check_feasible
@@ -50,25 +44,33 @@ from repro.trace.happens_before import racy_variables
 from repro.trace.trace import Trace
 
 
-def _read_trace(path: str, fmt: str) -> Trace:
+class _UnreadableTrace(Exception):
+    """``(path, error)``: a trace file that could not be read or parsed.
+    :func:`main` reports it and exits 2, whichever verb was reading."""
+
+
+def _read_columns(path: str, fmt: str):
+    """Parse a trace file into columns, exactly as the engine and the
+    daemon read one, so every verb accepts and rejects the same files."""
+    from repro import engine
+
     try:
-        with open(path, "r", encoding="utf-8") as stream:
-            text = stream.read()
-    except UnicodeDecodeError as error:
-        # Surface byte rot as a parse error (exit 2 with a pointer into
-        # the file), the same way the streaming readers do.
-        raise serialize.TraceParseError(
-            f"trace is not valid UTF-8 ({error.reason} at byte {error.start})"
-        ) from None
-    if fmt == "jsonl":
-        return serialize.loads_jsonl(text)
-    return serialize.loads(text)
+        return engine.read_columns(path, fmt)
+    except (serialize.TraceParseError, OSError) as error:
+        raise _UnreadableTrace(path, error) from None
 
 
-def _print_parse_error(path: str, error: serialize.TraceParseError) -> None:
-    print(f"error: {path}: {error}", file=sys.stderr)
-    if error.line is not None:
-        print(f"  offending line: {error.line}", file=sys.stderr)
+def _read_trace(path: str, fmt: str) -> Trace:
+    return Trace(_read_columns(path, fmt).iter_events())
+
+
+def _print_read_error(path: str, error: Exception) -> None:
+    if isinstance(error, serialize.TraceParseError):
+        print(f"error: {path}: {error}", file=sys.stderr)
+        if error.line is not None:
+            print(f"  offending line: {error.line}", file=sys.stderr)
+    else:
+        print(f"error: {path}: {error.strerror or error}", file=sys.stderr)
 
 
 def _write_trace(trace: Trace, path: Optional[str], fmt: str) -> None:
@@ -102,6 +104,8 @@ def cmd_tools(_args) -> int:
 
 
 def cmd_workloads(_args) -> int:
+    from repro.bench.workload import WORKLOADS
+
     print(f"{'workload':<12s}{'threads':>8s}{'scale':>8s}  description")
     for name, workload in WORKLOADS.items():
         print(
@@ -112,6 +116,8 @@ def cmd_workloads(_args) -> int:
 
 
 def cmd_record(args) -> int:
+    from repro.bench.workload import WORKLOADS
+
     try:
         workload = WORKLOADS[args.workload]
     except KeyError:
@@ -214,21 +220,6 @@ def _cmd_check_sharded(args) -> int:
 
     from repro import engine
 
-    from repro.kernels import has_kernel
-
-    if args.oracle:
-        print(
-            "error: --oracle needs the full trace in memory; "
-            "use --jobs 1 for the oracle",
-            file=sys.stderr,
-        )
-        return 2
-    if args.kernel == "fused" and not has_kernel(args.tool):
-        print(
-            f"error: --kernel fused: {args.tool!r} has no fused kernel",
-            file=sys.stderr,
-        )
-        return 2
     if args.shards is not None and args.shards < 1:
         print(f"error: --shards must be >= 1, got {args.shards}",
               file=sys.stderr)
@@ -254,11 +245,6 @@ def _cmd_check_sharded(args) -> int:
             kwargs = default_tool_kwargs(name)
             # Reuse the partition for every tool after the first pass.
             resume = args.resume is not None or position > 0
-            # ``--all-tools --kernel fused`` only binds the selected tool;
-            # companion tools without a kernel fall back to the object path.
-            kernel = args.kernel
-            if kernel == "fused" and name != args.tool:
-                kernel = "auto"
             report = engine.check_trace_file(
                 args.trace,
                 tool=name,
@@ -269,7 +255,7 @@ def _cmd_check_sharded(args) -> int:
                 resume=resume,
                 classify=args.json,
                 tool_kwargs=kwargs,
-                kernel=kernel,
+                kernel=_kernel_for(args, name),
                 policy=policy,
             )
             if name == args.tool:
@@ -293,8 +279,8 @@ def _cmd_check_sharded(args) -> int:
                 print(f"{name}: {report.warning_count} warning(s)")
                 for warning in report.warnings:
                     print(f"  {warning}")
-    except serialize.TraceParseError as error:
-        _print_parse_error(args.trace, error)
+    except (serialize.TraceParseError, OSError) as error:
+        _print_read_error(args.trace, error)
         return 2
     except engine.DrainRequested as error:
         print(f"drained: {error}", file=sys.stderr)
@@ -304,10 +290,6 @@ def _cmd_check_sharded(args) -> int:
         return 4
     except engine.CheckpointError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
-        print(f"error: {args.trace}: {error.strerror or error}",
-              file=sys.stderr)
         return 2
     finally:
         if owns_workdir:
@@ -333,14 +315,38 @@ def _cmd_check_sharded(args) -> int:
     return 1 if worst else 0
 
 
+def _kernel_for(args, tool: str) -> str:
+    """``--kernel fused`` binds only the selected tool: the companions
+    ``--all-tools`` adds run as ``auto``."""
+    return "auto" if args.kernel == "fused" and tool != args.tool else args.kernel
+
+
 def cmd_check(args) -> int:
+    from repro.kernels import has_kernel
+
     failed = _install_faults(args)
     if failed is not None:
         return failed
     telemetry = _enable_telemetry(args)
     try:
         args.jobs = _resolve_jobs(args)
-        if args.jobs > 1 or args.shards is not None or args.resume is not None:
+        sharded = (
+            args.jobs > 1 or args.shards is not None or args.resume is not None
+        )
+        if sharded and args.oracle:
+            print(
+                "error: --oracle needs the full trace in memory; "
+                "use --jobs 1 for the oracle",
+                file=sys.stderr,
+            )
+            return 2
+        if args.kernel == "fused" and not has_kernel(args.tool):
+            print(
+                f"error: --kernel fused: {args.tool!r} has no fused kernel",
+                file=sys.stderr,
+            )
+            return 2
+        if sharded:
             return _cmd_check_sharded(args)
         return _cmd_check_single(args)
     finally:
@@ -351,76 +357,44 @@ def cmd_check(args) -> int:
 
 
 def _cmd_check_single(args) -> int:
+    """The in-process path: the trace's columns, analyzed per tool by the
+    shard worker's own :func:`~repro.engine.worker.analyze_columns`."""
     from repro import obs
-    from repro.kernels import has_kernel, run_kernel
+    from repro.engine.worker import analyze_columns
+    from repro.report import result_to_json
 
-    if args.kernel == "fused" and not has_kernel(args.tool):
-        print(
-            f"error: --kernel fused: {args.tool!r} has no fused kernel",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        with obs.span("trace.serialize", trace=args.trace) as read_span:
-            trace = _read_trace(args.trace, args.format)
-            read_span.set(events=len(trace))
-    except serialize.TraceParseError as error:
-        _print_parse_error(args.trace, error)
-        return 2
-    except OSError as error:
-        print(f"error: {args.trace}: {error.strerror or error}",
-              file=sys.stderr)
-        return 2
-    violations = check_feasible(trace)
+    columns = _read_columns(args.trace, args.format)
+    violations = check_feasible(columns.iter_events())
     if violations:
         print(
             f"warning: trace is not feasible ({violations[0]})",
             file=sys.stderr if args.json else sys.stdout,
         )
     tool_names = list(DETECTORS) if args.all_tools else [args.tool]
-    columns = None
-    if args.kernel != "generic" and any(has_kernel(n) for n in tool_names):
-        from repro.trace.columnar import ColumnarTrace
-
-        columns = ColumnarTrace.from_events(trace)
     classifier = None
     if args.json:
         from repro.detectors.classifier import SharingClassifier
 
-        classifier = SharingClassifier()
-        classifier.process(trace)
-    report_target = None
+        # One profiling pass per run; each tool's analysis adopts it.
+        classifier = SharingClassifier().process(columns)
     if args.all_tools and not args.verbose and not args.json:
         print(f"{'tool':<12s}{'warnings':>9s}")
-    worst = 0
     json_results = {}
     for name in tool_names:
-        # FastTrack names both sides of the race when sites exist.
-        detector = make_detector(name, **default_tool_kwargs(name))
-        with obs.span("check.analyze", tool=name, events=len(trace)):
-            if columns is not None and has_kernel(name):
-                try:
-                    run_kernel(name, columns, detector=detector)
-                except Exception as error:
-                    # Degrade to the (bit-identical) object path rather
-                    # than failing the whole check on a kernel fault.
-                    obs.record_degraded(
-                        "kernel_fallback", tool=name, error=str(error)
-                    )
-                    detector = make_detector(
-                        name, **default_tool_kwargs(name)
-                    )
-                    detector.process(trace)
-            else:
-                detector.process(trace)
+        detector, _, counts = analyze_columns(
+            name, columns,
+            tool_kwargs=default_tool_kwargs(name),
+            kernel=_kernel_for(args, name),
+            classifier=classifier,
+        )
         obs.record_rules(name, detector.stats)
         if name == args.tool:
-            worst = detector.warning_count
-            report_target = detector
+            selected = detector
         if args.json:
-            from repro.report import detector_result
-
-            json_results[name] = detector_result(detector, classifier)
+            json_results[name] = result_to_json(
+                detector.name, detector.stats, detector.warnings,
+                detector.suppressed_warnings, classifier=counts,
+            )
         elif args.all_tools and not args.verbose:
             print(f"{name:<12s}{detector.warning_count:>9d}")
         else:
@@ -429,6 +403,8 @@ def _cmd_check_single(args) -> int:
                 print(f"  {warning}")
     if args.json:
         _print_json_results(json_results, args)
+    if args.oracle or args.report is not None:
+        trace = Trace(columns.iter_events())
     oracle_set = None
     if args.oracle:
         oracle_set = racy_variables(trace)
@@ -437,20 +413,18 @@ def _cmd_check_single(args) -> int:
             f"happens-before oracle: racy variables: {rendered}",
             file=sys.stderr if args.json else sys.stdout,
         )
-    if args.report is not None and report_target is not None:
+    if args.report is not None:
         from repro.report import build_report
 
         fmt = "html" if args.report.endswith(".html") else "markdown"
-        text = build_report(
-            trace, report_target, fmt=fmt, oracle_racy=oracle_set
-        )
+        text = build_report(trace, selected, fmt=fmt, oracle_racy=oracle_set)
         with open(args.report, "w", encoding="utf-8") as stream:
             stream.write(text)
         print(
             f"report written to {args.report}",
             file=sys.stderr if args.json else sys.stdout,
         )
-    return 1 if worst else 0
+    return 1 if selected.warning_count else 0
 
 
 def cmd_profile(args) -> int:
@@ -511,16 +485,12 @@ def cmd_profile(args) -> int:
                     resume=position > 0,
                     tool_kwargs=default_tool_kwargs(name),
                 )
-    except serialize.TraceParseError as error:
-        _print_parse_error(args.trace, error)
+    except (serialize.TraceParseError, OSError) as error:
+        _print_read_error(args.trace, error)
         return 2
     except engine.DrainRequested as error:
         print(f"drained: {error}", file=sys.stderr)
         return 3
-    except OSError as error:
-        print(f"error: {args.trace}: {error.strerror or error}",
-              file=sys.stderr)
-        return 2
     finally:
         obs.disable()
         if workdir is not None:
@@ -593,15 +563,9 @@ def cmd_watch(args) -> int:
                 span.set(
                     events=summary["events"], warnings=summary["warnings"]
                 )
-        except serialize.TraceParseError as error:
+        except (serialize.TraceParseError, OSError) as error:
             monitor.finish()
-            _print_parse_error(args.trace, error)
-            return 2
-        except OSError as error:
-            print(
-                f"error: {args.trace}: {error.strerror or error}",
-                file=sys.stderr,
-            )
+            _print_read_error(args.trace, error)
             return 2
         print(
             f"watched {summary['events']} event(s): "
@@ -622,9 +586,7 @@ def cmd_watch(args) -> int:
 def cmd_classify(args) -> int:
     from repro.detectors.classifier import CLASSES, SharingClassifier
 
-    trace = _read_trace(args.trace, args.format)
-    tool = SharingClassifier()
-    tool.process(trace)
+    tool = SharingClassifier().process(_read_columns(args.trace, args.format))
     fractions = tool.fractions()
     print("sharing classification (fraction of accesses):")
     for cls in CLASSES:
@@ -654,14 +616,7 @@ def cmd_predict(args) -> int:
 
     from repro.predict import predict_races
 
-    try:
-        trace = _read_trace(args.trace, args.format)
-    except serialize.TraceParseError as error:
-        _print_parse_error(args.trace, error)
-        return 2
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    trace = _read_trace(args.trace, args.format)
     report = predict_races(trace, window=args.window)
     if args.json:
         print(_json.dumps(report.to_json(), indent=2, sort_keys=True))
@@ -1333,7 +1288,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UnreadableTrace as unreadable:
+        _print_read_error(*unreadable.args)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

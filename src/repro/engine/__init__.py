@@ -76,13 +76,13 @@ from repro.engine.worker import (
     analyze_shard,
     drain_requested,
     install_drain_handler,
-    load_payloads,
     request_drain,
     reset_drain,
     resolve_kernel,
     run_shard,
 )
 from repro.trace import events as ev
+from repro.trace import serialize
 from repro.trace.columnar import ColumnarTrace
 
 __all__ = [
@@ -101,7 +101,6 @@ __all__ = [
     "drain_requested",
     "install_drain_handler",
     "iter_shard",
-    "load_payloads",
     "merge_shard_results",
     "merge_stats",
     "merge_warnings",
@@ -178,10 +177,17 @@ def _run_pending(
 
 def read_columns(path: str, fmt: str = "text") -> ColumnarTrace:
     """Parse a serialized trace file (``fmt`` ``'text'`` or ``'jsonl'``)
-    straight into interned columns, under a ``trace.serialize`` span."""
+    straight into interned columns, under a ``trace.serialize`` span.
+    This is how every ``repro`` verb but ``watch`` reads a trace file."""
     with obs.span("trace.serialize", trace=path) as span:
-        with open(path, "r", encoding="utf-8") as stream:
-            columns = ColumnarTrace.from_file(stream, fmt)
+        try:
+            with open(path, "r", encoding="utf-8") as stream:
+                columns = ColumnarTrace.from_file(stream, fmt)
+        except serialize.TraceParseError as error:
+            # The decoder reads ahead: name the bad byte's own line.
+            if isinstance(error.__context__, UnicodeDecodeError):
+                raise serialize.utf8_error_in(path) or error from None
+            raise
         span.set(events=len(columns))
     return columns
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.detector import CostStats, RaceWarning, fine_grain
-from repro.engine.worker import stats_from_json, warning_from_json
+from repro.report import stats_from_json, warning_from_json
 
 
 @dataclass

@@ -20,8 +20,10 @@ objects lazily from the same casts.
 falls back to the object path otherwise; ``'fused'`` demands one;
 ``'generic'`` forces the object path.  Either way the payload is
 bit-identical — the kernels' equivalence contract plus the shard replay
-argument compose.  The view is closed at the shard boundary so pooled
-workers never accumulate mappings.
+argument compose.  That choice, the kernel-fault fallback and the
+classifier verdict live in :func:`analyze_columns`, which ``repro check``
+also runs in process over a whole trace's columns.  The view is closed
+at the shard boundary so pooled workers never accumulate mappings.
 
 The worker's result — warnings, detector cost stats, optional
 sharing-classifier counts — is checkpointed as JSON through
@@ -37,7 +39,7 @@ import multiprocessing
 import os
 import signal
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import faults
 from repro import obs
@@ -48,30 +50,21 @@ from repro.detectors.registry import make_detector
 from repro.engine import transport as _transport
 from repro.engine.checkpoint import Workdir
 from repro.kernels import has_kernel, run_kernel
-from repro.report import (
-    classifier_counts,
-    stats_from_json,
-    stats_to_json,
-    warning_from_json,
-    warning_to_json,
-)
+from repro.report import classifier_counts, stats_to_json, warning_to_json
 from repro.trace import events as ev
+from repro.trace.columnar import ColumnarTrace
 
 __all__ = [
     "DrainRequested",
     "KERNEL_MODES",
+    "analyze_columns",
     "analyze_shard",
     "drain_requested",
     "install_drain_handler",
-    "load_payloads",
     "request_drain",
     "reset_drain",
     "resolve_kernel",
     "run_shard",
-    "stats_from_json",
-    "stats_to_json",
-    "warning_from_json",
-    "warning_to_json",
 ]
 
 PAYLOAD_VERSION = 1
@@ -165,8 +158,8 @@ def resolve_kernel(kernel: str, tool: str) -> bool:
 
 
 def _tally_kinds(stats: CostStats, kind_counts: Dict[int, int]) -> None:
-    """Per-shard equivalent of :meth:`Detector.absorb_kind_counts`, taken
-    from the shard columns'
+    """Columnar equivalent of :meth:`Detector.absorb_kind_counts`, taken
+    from the analyzed columns'
     :meth:`~repro.trace.columnar.ColumnarTrace.kind_counts`."""
     for kind, count in kind_counts.items():
         stats.events += count
@@ -178,6 +171,55 @@ def _tally_kinds(stats: CostStats, kind_counts: Dict[int, int]) -> None:
             stats.boundaries += count
         else:
             stats.syncs += count
+
+
+def analyze_columns(
+    tool: str,
+    columns: ColumnarTrace,
+    indices: Optional[Sequence[int]] = None,
+    tool_kwargs: Optional[Dict] = None,
+    kernel: str = "auto",
+    classifier: Optional[SharingClassifier] = None,
+    shard: Optional[int] = None,
+) -> Tuple[Detector, str, Optional[Dict]]:
+    """Run ``tool`` over ``columns``: the one analysis sequence behind a
+    shard worker's payload and ``repro check``'s in-process result.
+
+    ``indices`` maps column positions to trace positions (``None``: the
+    columns are the whole trace).  A fused-kernel failure degrades: the
+    run is redone on the object path, bit-identical by the equivalence
+    contract.  ``classifier``, a profile of the same columns, adopts the
+    detector's race verdict when it can.  ``shard`` labels the
+    ``kernels`` span.  Returns the detector, the loop that drove it
+    (``'fused'`` or ``'generic'``) and the classifier's counts.
+    """
+    where = {"tool": tool} if shard is None else {"tool": tool, "shard": shard}
+    detector: Detector = make_detector(tool, **(tool_kwargs or {}))
+    fused = resolve_kernel(kernel, tool)
+    with obs.span("kernels", events=len(columns), **where) as span:
+        if fused:
+            try:
+                run_kernel(tool, columns, indices=indices, detector=detector)
+            except Exception as error:
+                # The kernel may have half-advanced the detector's shadow
+                # state: start over from a fresh one.
+                obs.record_degraded(
+                    "kernel_fallback", **where, error=str(error)
+                )
+                detector = make_detector(tool, **(tool_kwargs or {}))
+                fused = False
+        if not fused:
+            handle = detector.handle
+            positions = range(len(columns)) if indices is None else indices
+            for index, event in zip(positions, columns.iter_events()):
+                handle(event, index=index)
+            _tally_kinds(detector.stats, columns.kind_counts())
+        used = "fused" if fused else "generic"
+        span.set(kernel=used)
+    if classifier is None:
+        return detector, used, None
+    classifier.adopt(detector)
+    return detector, used, classifier_counts(classifier)
 
 
 def analyze_shard(
@@ -201,9 +243,9 @@ def analyze_shard(
     (carried in the trace context) — monotonic clocks are comparable
     across processes on one machine, so ``start - submitted`` is this
     shard's queue wait.  When telemetry is on the shard emits its own
-    ``shard.analyze`` span (with ``shard.attach``/``shard.kernel``
-    children) into this process's span file; those spans are the shard's
-    only timing record.
+    ``shard.analyze`` span (with ``shard.attach``/``kernels`` children)
+    into this process's span file; those spans are the shard's only
+    timing record.
     """
     if faults.active():
         faults.fire("worker.crash", shard=shard, tool=tool, attempt=attempt)
@@ -216,9 +258,6 @@ def analyze_shard(
         "shard.analyze", shard=shard, tool=tool, attempt=attempt,
         queue_wait_s=queue_wait_s,
     ) as shard_span:
-        detector: Detector = make_detector(tool, **(tool_kwargs or {}))
-        use_fused = resolve_kernel(kernel, tool)
-        classifier_payload = None
         # Attach the shard's transport buffer.  This — plus the cached
         # intern load — is the *entire* per-shard transport cost under v3;
         # its span shows the serialization tax is gone.
@@ -233,47 +272,20 @@ def analyze_shard(
         try:
             columns, indices = view.columns(intern)
             events_seen = len(columns)
-            with obs.span("shard.kernel", shard=shard, tool=tool) as kspan:
-                if use_fused:
-                    try:
-                        run_kernel(
-                            tool, columns, indices=indices, detector=detector
-                        )
-                    except Exception as error:
-                        # Fused-path failure degrades, it does not fail the
-                        # shard: rebuild the detector (the kernel may have
-                        # half-advanced its shadow state) and redo this
-                        # shard on the generic object path, whose output is
-                        # bit-identical by the equivalence contract.
-                        obs.record_degraded(
-                            "kernel_fallback", tool=tool, shard=shard,
-                            error=str(error),
-                        )
-                        detector = make_detector(tool, **(tool_kwargs or {}))
-                        use_fused = False
-                if not use_fused:
-                    handle = detector.handle
-                    for index, event in zip(indices, columns.iter_events()):
-                        handle(event, index=index)
-                    _tally_kinds(detector.stats, columns.kind_counts())
-                kspan.set(
-                    events=events_seen,
-                    kernel="fused" if use_fused else "generic",
-                )
-            if classify:
-                # One profiling pass over the same columns.  The verdict is
-                # the detector's when it must be equal, or else computed
-                # now: the classifier may not hold the columns past close.
-                classifier = SharingClassifier().process(columns)
-                classifier.adopt(detector)
-                classifier_payload = classifier_counts(classifier)
+            # The classifier may not hold the columns past close: the
+            # analysis resolves its verdict before returning.
+            detector, used, counts = analyze_columns(
+                tool, columns, indices, tool_kwargs, kernel,
+                classifier=(
+                    SharingClassifier().process(columns) if classify else None
+                ),
+                shard=shard,
+            )
         finally:
-            columns = indices = classifier = None
+            columns = indices = None
             view.close()
 
-        shard_span.set(
-            events=events_seen, kernel="fused" if use_fused else "generic"
-        )
+        shard_span.set(events=events_seen, kernel=used)
 
     payload = {
         "payload_version": PAYLOAD_VERSION,
@@ -281,11 +293,11 @@ def analyze_shard(
         "attempt": attempt,
         "tool": tool,
         "events": events_seen,
-        "kernel": "fused" if use_fused else "generic",
+        "kernel": used,
         "warnings": [warning_to_json(w) for w in detector.warnings],
         "suppressed": detector.suppressed_warnings,
         "stats": stats_to_json(detector.stats),
-        "classifier": classifier_payload,
+        "classifier": counts,
     }
     workdir.write_result(tool, shard, payload)
     return payload
@@ -335,10 +347,3 @@ def run_shard(
         # further shards so the parent's drain can proceed.
         os._exit(DRAIN_EXIT_CODE)
     return shard
-
-
-def load_payloads(
-    workdir: Workdir, tool: str, nshards: int
-) -> List[Dict]:
-    """Read every shard's checkpointed payload, in shard order."""
-    return [workdir.read_result(tool, shard) for shard in range(nshards)]

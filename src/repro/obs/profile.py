@@ -31,7 +31,7 @@ from repro.obs.rules import derived_rule_counts
 #: Stage span names rendered in pipeline order; anything else follows.
 _STAGE_ORDER = (
     "trace.serialize", "engine.partition", "engine.analyze",
-    "shard.analyze", "shard.attach", "shard.kernel", "engine.merge",
+    "shard.analyze", "shard.attach", "kernels", "engine.merge",
     "check",
 )
 

@@ -18,11 +18,13 @@ dense shadow tables instead of chasing attributes and dicts:
 Interning gives every distinct variable/lock/thread-target a small dense
 integer, which is what lets the kernels replace ``self.vars`` dict lookups
 with list indexing.  The builders stream: :meth:`ColumnarTrace.from_events`
-consumes any one-shot iterable one event at a time, and
-:meth:`from_text_lines` / :meth:`from_jsonl_lines` parse serialized traces
-through :func:`repro.trace.serialize.iter_parse_parts` without constructing
-``Event`` objects at all (:meth:`from_file` is how the sharded engine and
-the daemon read a trace file).  :meth:`to_events` reconstructs the exact
+consumes any one-shot iterable one event at a time, and :meth:`from_file`
+parses a serialized trace through
+:func:`repro.trace.serialize.iter_parse_parts` without constructing
+``Event`` objects at all.  It is how every ``repro`` verb but ``watch``
+reads a trace file (through :func:`repro.engine.read_columns`): ``repro
+check`` in process, the sharded engine and the daemon alike.
+:meth:`to_events` reconstructs the exact
 event sequence (same kinds, tids, targets, and sites), so the
 representation is lossless — the round-trip tests in ``tests/test_columnar.py`` enforce it
 over the golden corpus.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, TextIO
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional
 
 from repro.trace import events as ev
 from repro.trace import serialize
@@ -108,35 +110,21 @@ class ColumnarTrace:
         return trace
 
     @classmethod
-    def from_parts(
-        cls, parts: Iterable[tuple]
+    def from_file(
+        cls, stream: Iterable[str], fmt: str = "text"
     ) -> "ColumnarTrace":
-        """Build columns from ``(kind, tid, target, site)`` tuples."""
+        """Stream-parse an open serialized trace file (or any iterable of
+        its lines) straight into columns: no :class:`Event` is built."""
+        parse = (
+            serialize.iter_parse_parts_jsonl
+            if fmt == "jsonl"
+            else serialize.iter_parse_parts
+        )
         trace = cls()
         append = trace.append
-        for kind, tid, target, site in parts:
+        for kind, tid, target, site in parse(stream):
             append(kind, tid, target, site)
         return trace
-
-    @classmethod
-    def from_text_lines(cls, lines: Iterable[str]) -> "ColumnarTrace":
-        """Stream-parse the text format straight into columns (no
-        :class:`Event` objects are ever constructed)."""
-        return cls.from_parts(serialize.iter_parse_parts(lines))
-
-    @classmethod
-    def from_jsonl_lines(cls, lines: Iterable[str]) -> "ColumnarTrace":
-        """Stream-parse JSON lines straight into columns."""
-        return cls.from_parts(serialize.iter_parse_parts_jsonl(lines))
-
-    @classmethod
-    def from_file(
-        cls, stream: TextIO, fmt: str = "text"
-    ) -> "ColumnarTrace":
-        """Stream-parse an open serialized trace file."""
-        if fmt == "jsonl":
-            return cls.from_jsonl_lines(stream)
-        return cls.from_text_lines(stream)
 
     @classmethod
     def from_columns(

@@ -34,6 +34,7 @@ Examples
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from itertools import starmap
@@ -156,7 +157,7 @@ def parse_event_parts(line: str) -> Tuple[int, int, Hashable, Optional[str]]:
     """Parse one text-format line to ``(kind, tid, target, site)``.
 
     This is the allocation-light core of :func:`parse_event`: the columnar
-    ingest path (:meth:`repro.trace.columnar.ColumnarTrace.from_text_lines`)
+    ingest path (:meth:`repro.trace.columnar.ColumnarTrace.from_file`)
     appends these fields straight into its columns without ever building an
     :class:`~repro.trace.events.Event`.
     """
@@ -204,6 +205,32 @@ def _not_utf8(error: UnicodeDecodeError, lineno: int) -> TraceParseError:
         f"trace is not valid UTF-8 ({error.reason} at byte {error.start})",
         lineno=lineno,
     )
+
+
+def utf8_error_in(path: str) -> Optional[TraceParseError]:
+    """The error for ``path``'s first byte that is not UTF-8, or ``None``.
+
+    A text-mode reader decodes a chunk ahead, so its decode error names
+    a line up to a chunk early and an offset within the chunk.  This
+    re-reads the bytes to name the bad byte's own line (``\\n``,
+    ``\\r\\n`` or a lone ``\\r`` end one, as in text mode) and its offset
+    in the file.
+    """
+    offset = 0
+    lineno = 1
+    with open(path, "rb") as stream:
+        for raw in stream:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as error:
+                return TraceParseError(
+                    f"trace is not valid UTF-8 ({error.reason} at byte "
+                    f"{offset + error.start})",
+                    lineno=lineno + raw.count(b"\r", 0, error.start),
+                )
+            offset += len(raw)
+            lineno += 1 + raw.count(b"\r") - raw.count(b"\r\n")
+    return None
 
 
 def _numbered_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
@@ -262,8 +289,7 @@ def _flagged_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str, bool]]:
     a warning whose racy access is the newest line written would not
     fire until the producer wrote something else.  Callers must keep
     terminators (all the file parsers and :class:`repro.watch` readers
-    do; ``str.splitlines()`` without ``keepends`` would mark every line
-    as a tolerated tail).
+    do, and so do :func:`loads` and :func:`loads_jsonl`).
     """
     lineno = 0
     try:
@@ -331,8 +357,10 @@ def iter_load(stream: Iterable[str]) -> Iterator[ev.Event]:
 
 
 def loads(text: str) -> Trace:
-    """Parse the text format back into a :class:`Trace`."""
-    return Trace(iter_parse(text.splitlines()))
+    """Parse the text format back into a :class:`Trace`.  Lines split
+    where reading a file splits them, at ``\\n``, ``\\r\\n`` and ``\\r``
+    only (``str.splitlines`` also splits at form feeds and ``\\u2028``)."""
+    return Trace(iter_parse(io.StringIO(text, newline=None)))
 
 
 def dump(trace: Iterable[ev.Event], stream: TextIO) -> None:
@@ -447,9 +475,9 @@ def iter_load_jsonl(stream: Iterable[str]) -> Iterator[ev.Event]:
 
 
 def loads_jsonl(text: str) -> Trace:
-    # keepends so the tail-tolerance rule of iter_parse_jsonl sees real
-    # terminators: a newline-terminated garbage line still raises.
-    return Trace(iter_parse_jsonl(text.splitlines(keepends=True)))
+    # Split as loads does; line ends are kept, so the tail-tolerance rule
+    # of iter_parse_jsonl sees real terminators.
+    return Trace(iter_parse_jsonl(io.StringIO(text, newline=None)))
 
 
 def load_jsonl(stream: TextIO) -> Trace:

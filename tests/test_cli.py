@@ -1,11 +1,26 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro import obs
 from repro.cli import main
+from repro.detectors import DETECTORS
+from repro.detectors.classifier import SharingClassifier
 from repro.trace import events as ev
-from repro.trace.serialize import dumps, dumps_jsonl
+from repro.trace import serialize
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.serialize import dumps, dumps_jsonl, loads
 from repro.trace.trace import Trace
+
+DATA = Path(__file__).parent / "data"
+MANIFEST = json.loads((DATA / "manifest.json").read_text())
 
 RACY = Trace([ev.wr(0, "x"), ev.fork(0, 1), ev.wr(1, "x"), ev.wr(0, "x")])
 CLEAN = Trace(
@@ -18,6 +33,16 @@ CLEAN = Trace(
         ev.rel(1, "m"),
     ]
 )
+
+
+def _golden(tmp_path, name, fmt):
+    """The path of golden trace ``name`` in ``fmt`` (JSONL is converted)."""
+    path = DATA / f"{name}.trace"
+    if fmt == "text":
+        return str(path)
+    converted = tmp_path / f"{name}.jsonl"
+    converted.write_text(dumps_jsonl(loads(path.read_text())))
+    return str(converted)
 
 
 @pytest.fixture
@@ -88,18 +113,33 @@ class TestCheck:
 class TestCheckSharded:
     """The ``--jobs`` / ``--shards`` / ``--resume`` engine path."""
 
-    def test_sharded_warnings_identical_to_in_process(self, racy_file, capsys):
-        assert main(["check", racy_file]) == 1
-        single_out = capsys.readouterr().out
-        assert main(["check", racy_file, "--jobs", "1", "--shards", "2"]) == 1
-        sharded_out = capsys.readouterr().out
-        # Identical modulo the feasibility pre-check (needs the full trace).
-        single_lines = [
-            line
-            for line in single_out.splitlines()
-            if "not feasible" not in line
-        ]
-        assert sharded_out.splitlines() == single_lines
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    @pytest.mark.parametrize(
+        "tools", [[], ["--all-tools"]], ids=["tool", "all-tools"]
+    )
+    @pytest.mark.parametrize("name", sorted(MANIFEST))
+    def test_sharded_warnings_identical_to_in_process(
+        self, name, tools, fmt, tmp_path, capsys
+    ):
+        argv = ["check", _golden(tmp_path, name, fmt), "--format", fmt, *tools]
+        sharding = ["--jobs", "1", "--shards", "2"]
+        code = main(argv)
+        text = capsys.readouterr().out
+        assert main([*argv, *sharding]) == code
+        assert capsys.readouterr().out == text
+        assert main([*argv, "--json"]) == code
+        single = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--json", *sharding]) == code
+        sharded = json.loads(capsys.readouterr().out)
+        if not tools:
+            single = {"results": {single["tool"]: single}}
+            sharded = {"results": {sharded["tool"]: sharded}}
+        assert set(single["results"]) == set(sharded["results"])
+        # Cost stats are per-shard sums, so only the verdicts compare.
+        for tool, document in single["results"].items():
+            other = sharded["results"][tool]
+            assert document["warnings"] == other["warnings"], tool
+            assert document["classifier"] == other["classifier"], tool
 
     def test_sharded_clean_trace_exits_zero(self, clean_file):
         assert main(["check", clean_file, "--shards", "3"]) == 0
@@ -228,3 +268,138 @@ class TestRecordAndAnnotate:
     def test_minimize_clean_trace_errors(self, clean_file, capsys):
         assert main(["minimize", clean_file]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestInProcessCheck:
+    """``repro check`` without ``--jobs``/``--shards`` analyzes the file's
+    columns with the shard worker's own analysis function."""
+
+    @pytest.mark.parametrize(
+        "tools", [[], ["--all-tools"]], ids=["tool", "all-tools"]
+    )
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    def test_default_path_builds_no_events(
+        self, fmt, tools, tmp_path, monkeypatch, capsys
+    ):
+        argv = [
+            "check", _golden(tmp_path, "tsp_small", fmt), "--format", fmt,
+            "--json", *tools,
+        ]
+        expected = (main(argv), capsys.readouterr().out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the in-process check built Event objects")
+
+        monkeypatch.setattr(serialize, "loads", refuse)
+        monkeypatch.setattr(serialize, "loads_jsonl", refuse)
+        monkeypatch.setattr(ColumnarTrace, "from_events", refuse)
+        assert (main(argv), capsys.readouterr().out) == expected
+
+    def test_one_classifier_pass_for_all_tools(self, monkeypatch, capsys):
+        calls = []
+        process = SharingClassifier.process
+
+        def counted(self, trace):
+            calls.append(trace)
+            return process(self, trace)
+
+        monkeypatch.setattr(SharingClassifier, "process", counted)
+        trace = str(DATA / "tsp_small.trace")
+        assert main(["check", trace, "--all-tools", "--json"]) == 1
+        assert len(calls) == 1
+
+    def test_telemetry_has_one_kernels_span_per_tool(self, tmp_path, capsys):
+        directory = str(tmp_path / "tel")
+        trace = str(DATA / "tsp_small.trace")
+        assert main(
+            ["check", trace, "--all-tools", "--telemetry", directory]
+        ) == 1
+        spans = [
+            record for record in obs.read_all_spans(directory)
+            if record["type"] == "span"
+        ]
+        kernels = [span for span in spans if span["name"] == "kernels"]
+        assert sorted(span["attrs"]["tool"] for span in kernels) == sorted(
+            DETECTORS
+        )
+        for span in kernels:
+            assert set(span["attrs"]) == {"tool", "events", "kernel"}
+        names = {span["name"] for span in spans}
+        assert not names & {"check.analyze", "shard.kernel"}
+
+    def test_cli_import_skips_bench_and_runtime(self):
+        # Only ``record`` and ``workloads`` need the workload models.
+        probe = (
+            "import sys, repro.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['repro', 'bench'], "
+            "['repro', 'runtime'])))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]"
+
+
+#: Every verb that reads a trace file, as the argv before its path.
+READERS = {
+    "annotate": ["annotate"],
+    "check": ["check"],
+    "check-shards": ["check", "--shards", "2"],
+    "classify": ["classify"],
+    "compose": ["compose", "FastTrack:Velodrome"],
+    "minimize": ["minimize"],
+    "predict": ["predict"],
+    "profile": ["profile"],
+}
+
+#: A non-UTF-8 byte deep in the file, past the decoder's read-ahead
+#: chunk: (bytes, its line, its offset from the start of the file).
+ROT = {
+    "text": (b"wr(0, x)\n" * 5000 + b"wr(0, \xffx)\nwr(1, x)\n", 5001, 45006),
+    "jsonl": (
+        b'{"op":"wr","tid":0,"target":"x"}\n' * 3000
+        + b'{"op":"wr","tid":0,"target":"\xff"}\n',
+        3001, 99029,
+    ),
+}
+
+
+class TestUnreadableTrace:
+    """Every verb reads a trace file one way and refuses a bad one with
+    exit 2 and an ``error: PATH: ...`` line."""
+
+    @pytest.mark.parametrize("verb", sorted(READERS))
+    def test_malformed_trace_exits_2(self, verb, tmp_path, capsys):
+        path = tmp_path / "bad.trace"
+        path.write_text("wr(0, x)\nbogus line\n")
+        assert main([*READERS[verb], str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 2: unparseable line 'bogus line'\n"
+            "  offending line: bogus line\n"
+        )
+
+    @pytest.mark.parametrize("verb", sorted(READERS))
+    def test_missing_trace_exits_2(self, verb, tmp_path, capsys):
+        path = tmp_path / "missing.trace"
+        assert main([*READERS[verb], str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize("verb", ["annotate", "check", "check-shards"])
+    @pytest.mark.parametrize("fmt", sorted(ROT))
+    def test_not_utf8_names_the_bad_bytes_line_and_offset(
+        self, fmt, verb, tmp_path, capsys
+    ):
+        data, lineno, offset = ROT[fmt]
+        assert data.index(b"\xff") == offset
+        path = tmp_path / f"rot.{fmt}"
+        path.write_bytes(data)
+        assert main([*READERS[verb], str(path), "--format", fmt]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {lineno}: trace is not valid UTF-8 "
+            f"(invalid start byte at byte {offset})\n"
+        )

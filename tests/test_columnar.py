@@ -66,7 +66,7 @@ def test_golden_corpus_streaming_parse(name):
     object-path parse → from_events chain."""
     text = (DATA / f"{name}.trace").read_text()
     via_events = ColumnarTrace.from_events(loads(text))
-    direct = ColumnarTrace.from_text_lines(text.splitlines())
+    direct = ColumnarTrace.from_file(text.splitlines())
     assert events_equal(direct.to_events(), via_events.to_events())
 
 
@@ -78,7 +78,7 @@ def test_all_event_kinds_round_trip():
 
 def test_all_event_kinds_survive_serialized_round_trip():
     text = dumps(ALL_KIND_EVENTS)
-    col = ColumnarTrace.from_text_lines(text.splitlines())
+    col = ColumnarTrace.from_file(text.splitlines())
     assert events_equal(col.to_events(), loads(text))
 
 

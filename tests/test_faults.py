@@ -264,6 +264,17 @@ def test_kernel_fault_falls_back_to_generic_path(tmp_path, baseline):
     assert (code, output) == baseline
 
 
+def test_kernel_fault_falls_back_in_process(tmp_path, capsys):
+    # The in-process check runs the shard worker's analysis, so it takes
+    # the same fallback and prints its own fault-free bytes.
+    clean = _check([TRACE, "--json"])
+    plan = _plan_file(tmp_path, [
+        {"point": "kernel.run", "times": 99},
+    ])
+    assert _check([TRACE, "--json", "--faults", plan]) == clean
+    assert "degraded path taken: kernel_fallback" in capsys.readouterr().err
+
+
 # -- the differential invariant: degrade explicitly, never lie ----------------
 
 

@@ -324,7 +324,7 @@ class TestTelemetryDoesNotPerturb:
         count = obs.validate_spans_file(
             str(telemetry / obs.SPANS_FILENAME)
         )
-        assert count >= 2  # trace.serialize + check.analyze at minimum
+        assert count >= 2  # trace.serialize + kernels at minimum
         snapshot = json.load(open(telemetry / "metrics.json"))
         assert "repro_rule_total" in snapshot
         samples = snapshot["repro_rule_total"]["samples"]

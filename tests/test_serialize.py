@@ -187,6 +187,70 @@ class TestParseErrorLocation:
         assert excinfo.value.line is None
 
 
+class TestLineSplitting:
+    """``loads``/``loads_jsonl`` split lines where reading a file does:
+    at ``\\n``, ``\\r\\n`` and ``\\r`` only, never at the other
+    ``str.splitlines`` boundaries."""
+
+    @staticmethod
+    def _from_file(tmp_path, text, fmt):
+        from repro.engine import read_columns
+
+        path = tmp_path / "trace"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            columns = read_columns(str(path), fmt)
+        except TraceParseError as error:
+            return str(error)
+        return [(e.kind, e.tid, e.target, e.site) for e in columns]
+
+    @staticmethod
+    def _from_text(text, fmt):
+        try:
+            trace = (loads_jsonl if fmt == "jsonl" else loads)(text)
+        except TraceParseError as error:
+            return str(error)
+        return [(e.kind, e.tid, e.target, e.site) for e in trace]
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\u2028"])
+    def test_text_separator_is_not_a_line_break(self, tmp_path, sep):
+        text = f"wr(0, x) @ a{sep}wr(1, x)\nwr(1, x)\n"
+        result = self._from_text(text, "text")
+        assert result == self._from_file(tmp_path, text, "text")
+        assert result.startswith("line 1: unparseable line")
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\u2028"])
+    def test_jsonl_separator_is_not_a_line_break(self, tmp_path, sep):
+        text = (
+            f'{{"op": "wr", "tid": 0, "target": "x", "site": "a{sep}b"}}\n'
+            '{"op": "wr", "tid": 1, "target": "x"}\n'
+        )
+        result = self._from_text(text, "jsonl")
+        assert result == self._from_file(tmp_path, text, "jsonl")
+        if sep == "\u2028":  # legal inside a JSON string
+            assert result[0] == (ev.WRITE, 0, "x", f"a{sep}b")
+            assert len(result) == 2
+        else:  # a raw control character is not
+            assert result.startswith("line 1: invalid JSON")
+
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    def test_carriage_returns_end_lines(self, tmp_path, fmt):
+        lines = dumps_jsonl(SAMPLE) if fmt == "jsonl" else dumps(SAMPLE)
+        text = lines.replace("\n", "\r", 2).replace("\n", "\r\n")
+        result = self._from_text(text, fmt)
+        assert result == self._from_file(tmp_path, text, fmt)
+        assert len(result) == len(SAMPLE)
+
+    def test_utf8_error_numbers_lines_as_text_mode_does(self, tmp_path):
+        path = tmp_path / "rot.trace"
+        path.write_bytes(b"wr(0, x)\r\nwr(0, x)\rwr(0, x)\n\xff\n")
+        assert str(serialize.utf8_error_in(str(path))) == (
+            "line 4: trace is not valid UTF-8 (invalid start byte at byte 28)"
+        )
+        path.write_bytes(b"wr(0, x)\n")
+        assert serialize.utf8_error_in(str(path)) is None
+
+
 class TestLineMemo:
     """``iter_parse_parts`` parses each distinct line once per call."""
 

@@ -166,7 +166,7 @@ class TestCrossProcessIntegrity:
         for span in spans:
             by_name.setdefault(span["name"], []).append(span)
         # The worker-side stages are real records now, one per shard.
-        for stage in ("shard.analyze", "shard.attach", "shard.kernel"):
+        for stage in ("shard.analyze", "shard.attach", "kernels"):
             assert len(by_name[stage]) == 4, stage
         # shard.analyze parents are the parent-side engine.analyze span.
         (analyze,) = by_name["engine.analyze"]
