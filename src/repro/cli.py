@@ -700,8 +700,9 @@ def cmd_minimize(args) -> int:
     from repro.trace.serialize import parse_target
 
     trace = _read_trace(args.trace, args.format)
-    var = parse_target(args.var) if args.var is not None else None
     try:
+        # A bad --var (a TraceParseError, so a ValueError) is a usage error.
+        var = parse_target(args.var) if args.var is not None else None
         witness = minimize_trace(trace, var=var)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)

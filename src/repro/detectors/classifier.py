@@ -40,6 +40,7 @@ from typing import (
     Union,
 )
 
+from repro import obs
 from repro.core.detector import Detector, fine_grain
 from repro.core.fasttrack import FastTrack
 from repro.trace import events as ev
@@ -107,7 +108,16 @@ class SharingClassifier:
     def process(
         self, trace: Union[ColumnarTrace, Iterable[ev.Event]]
     ) -> "SharingClassifier":
-        """Profile every access of ``trace`` in one pass; returns self."""
+        """Profile every access of ``trace`` in one pass, timed by one
+        ``detectors.classifier`` span; returns self."""
+        with obs.span("detectors.classifier") as span:
+            self._profile(trace)
+            span.set(events=self.events)
+        return self
+
+    def _profile(
+        self, trace: Union[ColumnarTrace, Iterable[ev.Event]]
+    ) -> None:
         if isinstance(trace, ColumnarTrace):
             targets = trace.targets
             rows = zip(
@@ -168,7 +178,6 @@ class SharingClassifier:
                 if locks is not None:
                     locks.discard(target)
         self.events = events
-        return self
 
     # -- the race verdict ---------------------------------------------------
 

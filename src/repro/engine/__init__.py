@@ -249,7 +249,7 @@ def _run(
             )
         if not resume:
             wd.clear_results(tool, count)
-        completed = set(wd.completed_shards(tool, count))
+        completed = set(wd.completed_shards(tool, count, classify))
         pending = [shard for shard in range(count) if shard not in completed]
         if completed:
             obs.log.info(
@@ -271,7 +271,7 @@ def _run(
                 executor=executor, policy=policy, trace=trace_ctx,
             ))
         failed = {failure.shard for failure in failures}
-        survivors = set(wd.completed_shards(tool, count))
+        survivors = set(wd.completed_shards(tool, count, classify))
         redo = [
             shard for shard in range(count)
             if shard not in survivors and shard not in failed
@@ -287,7 +287,7 @@ def _run(
                 trace=obs.propagation_context(submitted=time.monotonic()),
             ))
             failed = {failure.shard for failure in failures}
-            survivors = set(wd.completed_shards(tool, count))
+            survivors = set(wd.completed_shards(tool, count, classify))
         quarantined = sorted(set(range(count)) - survivors)
         if not survivors:
             first = failures[0].error if failures else "no checkpoints"

@@ -16,6 +16,9 @@ never finished::
       results/FastTrack/shard_0007.json
                                     one checkpoint per (tool, shard); the
                                     file's existence is the progress record
+      classifier/shard_0007.json    the shard's sharing-classifier counts,
+                                    shared by every tool; tagged with the
+                                    partition's generation
 
 Every write here is atomic and durable (temp file + ``fsync`` +
 ``os.replace``): a killed worker leaves either a complete checkpoint or
@@ -25,7 +28,11 @@ checkpoint before trusting it — an unreadable or truncated result file
 is quarantined (renamed ``*.json.corrupt``) and its shard recomputed,
 recorded as ``repro_degraded_total{reason="checkpoint_quarantined"}``.
 Results are grouped per tool so one partition can serve several detectors
-(``--all-tools``) and each resumes independently.
+(``--all-tools``) and each resumes independently.  The classifier counts
+depend only on the shard, so the first classifying run writes them once
+and every later tool, job and resume reads them; a checkpoint that does
+not parse, names another shard or carries another ``generation`` than
+``meta.json`` is recomputed and overwritten, never trusted.
 """
 
 from __future__ import annotations
@@ -76,6 +83,17 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_checkpoint(path: str, text: str, point: str, **context) -> None:
+    """Atomically write a checkpoint.  A ``torn`` fault at ``point``
+    writes only a prefix — a torn write that "succeeded" — which the
+    validating reader must refuse."""
+    if faults.active():
+        spec = faults.fire(point, **context)
+        if spec is not None and spec.action == "torn":
+            text = text[: max(1, len(text) // 2)]
+    _atomic_write(path, text)
 
 
 class Workdir:
@@ -188,14 +206,18 @@ class Workdir:
             self.results_dir, _tool_dirname(tool), f"shard_{shard:04d}.json"
         )
 
-    def valid_result(self, tool: str, shard: int) -> bool:
+    def valid_result(
+        self, tool: str, shard: int, classify: bool = False
+    ) -> bool:
         """True iff ``(tool, shard)`` has a trustworthy checkpoint.
 
         A checkpoint is trusted only if it parses as JSON and names the
         shard it claims to checkpoint — a zero-byte or truncated file
         left by a torn write is *quarantined* (renamed ``*.json.corrupt``,
         kept for post-mortems) so the shard is recomputed instead of
-        crashing the merge or, worse, being silently trusted.
+        crashing the merge or, worse, being silently trusted.  A
+        ``classify`` run also needs the checkpoint's classifier counts:
+        one written without them is left in place and recomputed.
         """
         path = self.result_path(tool, shard)
         try:
@@ -206,7 +228,7 @@ class Workdir:
         except (OSError, ValueError, UnicodeDecodeError):
             payload = None
         if isinstance(payload, dict) and payload.get("shard") == shard:
-            return True
+            return not classify or payload.get("classifier") is not None
         try:
             os.replace(path, path + ".corrupt")
         except OSError:  # pragma: no cover - raced with a rewrite
@@ -218,11 +240,13 @@ class Workdir:
         )
         return False
 
-    def completed_shards(self, tool: str, nshards: int) -> List[int]:
+    def completed_shards(
+        self, tool: str, nshards: int, classify: bool = False
+    ) -> List[int]:
         return [
             shard
             for shard in range(nshards)
-            if self.valid_result(tool, shard)
+            if self.valid_result(tool, shard, classify)
         ]
 
     def result_files(self) -> List[str]:
@@ -282,20 +306,56 @@ class Workdir:
     def write_result(self, tool: str, shard: int, payload: Dict) -> str:
         path = self.result_path(tool, shard)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        text = json.dumps(payload) + "\n"
-        if faults.active():
-            spec = faults.fire("checkpoint.write", tool=tool, shard=shard)
-            if spec is not None and spec.action == "torn":
-                # A torn write that "succeeded": only a prefix reached
-                # the disk.  The validating reader must quarantine it.
-                _atomic_write(path, text[: max(1, len(text) // 2)])
-                return path
-        _atomic_write(path, text)
+        _write_checkpoint(
+            path, json.dumps(payload) + "\n", "checkpoint.write",
+            tool=tool, shard=shard,
+        )
         return path
 
     def read_result(self, tool: str, shard: int) -> Dict:
         with open(self.result_path(tool, shard), "r", encoding="utf-8") as f:
             return json.load(f)
+
+    # -- per-shard classifier checkpoints -------------------------------------
+
+    def classifier_path(self, shard: int) -> str:
+        return os.path.join(self.root, "classifier", f"shard_{shard:04d}.json")
+
+    def read_classifier(
+        self, shard: int, generation: Optional[str]
+    ) -> Optional[Dict]:
+        """The shard's stored classifier counts, or ``None`` unless the
+        checkpoint parses, names ``shard`` and carries the partition's
+        ``generation`` (a torn, foreign or stale file is recomputed)."""
+        try:
+            with open(
+                self.classifier_path(shard), "r", encoding="utf-8"
+            ) as stream:
+                checkpoint = json.load(stream)
+        except (OSError, ValueError, UnicodeDecodeError):
+            return None
+        if (
+            isinstance(checkpoint, dict)
+            and checkpoint.get("shard") == shard
+            and generation is not None
+            and checkpoint.get("generation") == generation
+            and isinstance(checkpoint.get("counts"), dict)
+        ):
+            return checkpoint["counts"]
+        return None
+
+    def write_classifier(
+        self, shard: int, generation: Optional[str], counts: Dict
+    ) -> None:
+        path = self.classifier_path(shard)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        checkpoint = {
+            "shard": shard, "generation": generation, "counts": counts,
+        }
+        _write_checkpoint(
+            path, json.dumps(checkpoint) + "\n", "classifier.write",
+            shard=shard,
+        )
 
     def clear_results(self, tool: str, nshards: Optional[int] = None) -> None:
         """Drop *all* of a tool's checkpoints (a non-resume run starts

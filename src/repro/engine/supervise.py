@@ -195,7 +195,7 @@ class _Supervisor:
     def disk_complete(self, shard: int) -> bool:
         """Disk is the source of truth after a pool break: a worker may
         have checkpointed its shard and died before reporting."""
-        return self.workdir.valid_result(self.tool, shard)
+        return self.workdir.valid_result(self.tool, shard, self.classify)
 
     def drain_now(self) -> None:
         done = sum(1 for shard in self.pending if self.disk_complete(shard))

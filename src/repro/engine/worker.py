@@ -28,7 +28,12 @@ at the shard boundary so pooled workers never accumulate mappings.
 The worker's result — warnings, detector cost stats, optional
 sharing-classifier counts — is checkpointed as JSON through
 :class:`~repro.engine.checkpoint.Workdir` before the function returns, so a
-run killed between shards loses at most the shards in flight.  The module
+run killed between shards loses at most the shards in flight.  The
+classifier counts depend only on the shard, so they get a checkpoint of
+their own: the first classifying run profiles the shard and writes it,
+and every later tool, job or resume of the partition reads it instead of
+profiling again (and, for a tool other than FastTrack, instead of
+re-running FastTrack for the racy class).  The module
 is import-clean and the entry point takes only picklable primitives: it is
 the ``multiprocessing`` target.
 """
@@ -243,9 +248,13 @@ def analyze_shard(
     (carried in the trace context) — monotonic clocks are comparable
     across processes on one machine, so ``start - submitted`` is this
     shard's queue wait.  When telemetry is on the shard emits its own
-    ``shard.analyze`` span (with ``shard.attach``/``kernels`` children)
-    into this process's span file; those spans are the shard's only
-    timing record.
+    ``shard.analyze`` span (with ``shard.attach``/``kernels`` children,
+    and ``detectors.classifier`` when it profiles the shard) into this
+    process's span file; those spans are the shard's only timing record.
+
+    With ``classify`` the counts come from the shard's classifier
+    checkpoint when one is valid for this partition generation;
+    otherwise the shard is profiled and the checkpoint written.
     """
     if faults.active():
         faults.fire("worker.crash", shard=shard, tool=tool, attempt=attempt)
@@ -269,21 +278,29 @@ def analyze_shard(
                 )
             intern = _transport.load_intern(workdir, meta)
             view = _transport.attach_view(workdir, meta, shard)
+        generation = meta.get("generation")
+        counts = (
+            workdir.read_classifier(shard, generation) if classify else None
+        )
         try:
             columns, indices = view.columns(intern)
             events_seen = len(columns)
             # The classifier may not hold the columns past close: the
             # analysis resolves its verdict before returning.
-            detector, used, counts = analyze_columns(
+            detector, used, profiled = analyze_columns(
                 tool, columns, indices, tool_kwargs, kernel,
                 classifier=(
-                    SharingClassifier().process(columns) if classify else None
+                    SharingClassifier().process(columns)
+                    if classify and counts is None else None
                 ),
                 shard=shard,
             )
         finally:
             columns = indices = None
             view.close()
+        if profiled is not None:
+            workdir.write_classifier(shard, generation, profiled)
+            counts = profiled
 
         shard_span.set(events=events_seen, kernel=used)
 

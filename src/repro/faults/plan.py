@@ -60,6 +60,8 @@ POINTS: Dict[str, tuple] = {
     "worker.hang": ("hang",),
     # engine/checkpoint.py — a shard result checkpoint write
     "checkpoint.write": ("raise", "torn"),
+    # engine/checkpoint.py — a shard classifier checkpoint write
+    "classifier.write": ("raise", "torn"),
     # service/store.py — any job-store record/result write
     "store.write": ("raise", "torn"),
     # trace/serialize.py — the streaming trace readers, per line

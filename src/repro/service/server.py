@@ -63,7 +63,7 @@ from repro.report import dumps_result, result_set
 from repro.service.debug import debug_snapshot, render_html
 from repro.service.queue import JobQueue, QueueClosed, QueueFull
 from repro.service.routes import Router
-from repro.service.store import JobStore
+from repro.service.store import DuplicateKey, JobStore
 from repro.trace.serialize import TraceParseError, dumps_jsonl, event_from_json
 
 #: Upload formats the daemon accepts, and the content types that imply them.
@@ -885,38 +885,34 @@ def h_submit(handler: "_Handler", service: RaceService,
             fmt = fmt or "text"
         else:
             raise ValidationError("JSON body needs a 'trace' or 'events' key")
-        spec = service.build_spec(
-            tools or ["FastTrack"], shards, kernel or "auto", fmt
-        )
-        spec["trace_id"] = trace_id
-        record = service.store.create(spec, key=key)
-        try:
-            with open(
-                service.store.trace_path(record["id"], fmt),
-                "w", encoding="utf-8",
-            ) as out:
-                out.write(text)
-        except BaseException:
-            service.store.delete(record["id"])
-            raise
     else:
-        # The streaming path: the body (chunked or sized) is spooled to
-        # the job directory in fixed-size pieces, so the upload never
-        # sits in daemon memory; the engine parses the spooled file into
-        # columns (engine.read_columns).
+        text = None
         fmt = fmt or _CONTENT_TYPE_FORMATS.get(content_type, "text")
-        spec = service.build_spec(
-            tools or ["FastTrack"], shards, kernel or "auto", fmt
-        )
-        spec["trace_id"] = trace_id
+    spec = service.build_spec(
+        tools or ["FastTrack"], shards, kernel or "auto", fmt
+    )
+    spec["trace_id"] = trace_id
+    try:
         record = service.store.create(spec, key=key)
-        try:
-            with open(service.store.trace_path(record["id"], fmt), "wb") as out:
+    except DuplicateKey as duplicate:
+        # A concurrent submission with this key got in first.
+        return _duplicate_response(handler, duplicate.record)
+    try:
+        path = service.store.trace_path(record["id"], fmt)
+        if text is None:
+            # The streaming path: the body (chunked or sized) is spooled
+            # to the job directory in fixed-size pieces, so the upload
+            # never sits in daemon memory; the engine parses the spooled
+            # file into columns (engine.read_columns).
+            with open(path, "wb") as out:
                 for chunk in handler.read_body():
                     out.write(chunk)
-        except BaseException:
-            service.store.delete(record["id"])
-            raise
+        else:
+            with open(path, "w", encoding="utf-8") as out:
+                out.write(text)
+    except BaseException:
+        service.store.delete(record["id"])
+        raise
     try:
         service.accept(record)
     except QueueFull:

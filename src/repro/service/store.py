@@ -27,7 +27,12 @@ Job ids embed a millisecond timestamp so listing order is creation
 order, plus random bits so concurrent submissions never collide.
 Clients may also attach their own idempotency ``key`` to a submission;
 :meth:`JobStore.find_by_key` lets the daemon answer a resubmission with
-the job it already accepted instead of analyzing the trace twice.
+the job it already accepted instead of analyzing the trace twice.  Keys
+are looked up in an in-memory ``key → job id`` index, built once from a
+full pass over the records (the daemon's restart recovery makes that
+pass) and kept current by :meth:`JobStore.create` and
+:meth:`JobStore.delete`, so a submission costs the same however many
+jobs the store holds.
 
 Records are written temp-file + ``fsync`` + ``os.replace``, so a killed
 daemon leaves complete records or none.  Against storage that tears
@@ -79,6 +84,14 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+class DuplicateKey(Exception):
+    """A new job's idempotency key already names a job, ``record``."""
+
+    def __init__(self, record: Dict) -> None:
+        super().__init__(f"key {record.get('key')!r} names job {record['id']}")
+        self.record = record
+
+
 class JobStore:
     """Handle on one store root; safe for concurrent daemon threads."""
 
@@ -91,6 +104,8 @@ class JobStore:
         os.makedirs(self.jobs_dir, exist_ok=True)
         self._lock = threading.Lock()
         self._counter = 0
+        # Idempotency key → job id; built on first use, under the lock.
+        self._keys: Optional[Dict[str, str]] = None
 
     # -- paths ---------------------------------------------------------------
 
@@ -185,9 +200,14 @@ class JobStore:
         )
 
     def create(self, spec: Dict, key: Optional[str] = None) -> Dict:
-        """Create a job directory and its initial ``queued`` record."""
+        """Create a job directory and its initial ``queued`` record.
+
+        A ``key`` that already names a job raises :class:`DuplicateKey`
+        with that job's record.  The check and the insert happen under
+        the store lock, so concurrent submissions with one key make one
+        job.
+        """
         job_id = self._new_id()
-        os.makedirs(self.job_dir(job_id))
         record = {
             "id": job_id,
             "state": "queued",
@@ -199,9 +219,17 @@ class JobStore:
             "key": key,
             **spec,
         }
-        _atomic_write(
-            self._job_json(job_id), json.dumps(record, indent=2) + "\n"
-        )
+        with self._lock:
+            if key:
+                existing = self._lookup(key)
+                if existing is not None:
+                    raise DuplicateKey(existing)
+            os.makedirs(self.job_dir(job_id))
+            _atomic_write(
+                self._job_json(job_id), json.dumps(record, indent=2) + "\n"
+            )
+            if key:
+                self._keys[key] = job_id
         return record
 
     def read(self, job_id: str) -> Optional[Dict]:
@@ -224,6 +252,11 @@ class JobStore:
             return record
 
     def delete(self, job_id: str) -> None:
+        record = self.read(job_id)
+        key = record.get("key") if record is not None else None
+        with self._lock:
+            if key and self._keys and self._keys.get(key) == job_id:
+                del self._keys[key]
         shutil.rmtree(self.job_dir(job_id), ignore_errors=True)
 
     # -- results -------------------------------------------------------------
@@ -258,10 +291,15 @@ class JobStore:
 
     def recoverable(self) -> List[Dict]:
         """Jobs a restarted daemon must re-enqueue: accepted, not
-        finished — whether they were still queued or mid-analysis."""
+        finished — whether they were still queued or mid-analysis.  The
+        same pass over the records builds the idempotency-key index."""
+        records = self.list_jobs()
+        with self._lock:
+            if self._keys is None:
+                self._index_keys(records)
         return [
             record
-            for record in self.list_jobs()
+            for record in records
             if record.get("state") in ACTIVE_STATES
         ]
 
@@ -270,10 +308,27 @@ class JobStore:
         key, if any — a resubmission (after a lost 202, a connection
         reset, a client retry) maps back to it instead of duplicating
         the analysis."""
-        for record in self.list_jobs():
-            if record.get("key") == key:
-                return record
-        return None
+        with self._lock:
+            return self._lookup(key)
+
+    def _index_keys(self, records: List[Dict]) -> None:
+        """Index every record's key; the first job to use a key keeps it."""
+        self._keys = {}
+        for record in records:
+            if record.get("key"):
+                self._keys.setdefault(record["key"], record["id"])
+
+    def _lookup(self, key: str) -> Optional[Dict]:
+        """The record indexed under ``key``; a record that no longer
+        reads, or no longer carries the key, is a miss.  Call with the
+        lock held."""
+        if self._keys is None:
+            self._index_keys(self.list_jobs())
+        job_id = self._keys.get(key)
+        record = self.read(job_id) if job_id is not None else None
+        if record is None or record.get("key") != key:
+            return None
+        return record
 
     def scrub(self) -> List[str]:
         """Quarantine job directories whose record no longer parses.

@@ -401,7 +401,10 @@ def event_parts_from_json(
     record: dict,
 ) -> Tuple[int, int, Hashable, Optional[Hashable]]:
     """Decode one JSONL record to ``(kind, tid, target, site)`` (the
-    allocation-light core of :func:`event_from_json`)."""
+    allocation-light core of :func:`event_from_json`).  A ``tid`` that
+    is not an integer, a site that is a list or an object, or a target
+    that is an object or holds a list or an object — none of which can
+    be interned — is a :class:`TraceParseError`."""
     if not isinstance(record, dict):
         raise TraceParseError(
             f"event record must be a JSON object, got {record!r}"
@@ -413,8 +416,13 @@ def event_parts_from_json(
     try:
         target = _target_from_json(record["target"])
         if kind == ev.BARRIER_RELEASE:
-            return kind, -1, tuple(sorted(target)), None
-        return kind, record["tid"], target, record.get("site")
+            tid, target, site = -1, tuple(sorted(target)), None
+        else:
+            tid, site = record["tid"], record.get("site")
+            if not isinstance(tid, int):
+                raise TypeError(f"tid must be an integer, got {tid!r}")
+        hash((target, site))  # interning needs both hashable
+        return kind, tid, target, site
     except (KeyError, TypeError) as error:
         raise TraceParseError(
             f"bad event record {record!r}: {error}"

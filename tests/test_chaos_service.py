@@ -13,6 +13,7 @@ result without duplicating the analysis (idempotency keys).
 
 import io
 import json
+import threading
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -157,6 +158,97 @@ def test_fresh_submissions_stay_separate_jobs(daemon):
     assert first["id"] != second["id"]
 
 
+def test_fresh_key_lookup_reads_no_other_job(tmp_path, monkeypatch):
+    # 500 finished jobs in the store: a submission with a fresh key is
+    # answered from the in-memory index, not by reading every record.
+    store = JobStore(str(tmp_path / "store"))
+    for index in range(500):
+        job_dir = Path(store.job_dir(f"{index:016x}"))
+        job_dir.mkdir()
+        (job_dir / "job.json").write_text(json.dumps({
+            "id": job_dir.name, "state": "done", "finished": time.time(),
+            "key": f"old-{index}",
+        }))
+    handle = start_in_thread(ServiceConfig(
+        port=0, workers=0, store_dir=str(tmp_path / "store"),
+    ))
+    reads = []
+    read = JobStore.read
+
+    def counted(self, job_id):
+        reads.append(job_id)
+        return read(self, job_id)
+
+    monkeypatch.setattr(JobStore, "read", counted)
+    try:
+        client = Client(port=handle.port, timeout=30.0)
+        job = client.submit(path=str(TRACE), key="fresh-key")
+        assert len(reads) <= 2, len(reads)
+        again = client.submit(path=str(TRACE), key="old-7")
+        assert again["id"] == f"{7:016x}" and again["duplicate"] is True
+        assert job["id"] != again["id"]
+    finally:
+        handle.stop(grace=5.0)
+
+
+def test_key_is_a_duplicate_after_a_restart(tmp_path):
+    config = ServiceConfig(port=0, workers=1, store_dir=str(tmp_path / "s"))
+    handle = start_in_thread(config)
+    try:
+        client = Client(port=handle.port, timeout=30.0)
+        first = client.submit(path=str(TRACE), key="across-restart")
+        client.wait(first["id"], timeout=60.0, poll=0.05)
+    finally:
+        handle.stop(grace=5.0)
+    handle = start_in_thread(config)
+    try:
+        client = Client(port=handle.port, timeout=30.0)
+        again = client.submit(path=str(TRACE), key="across-restart")
+        assert again["id"] == first["id"]
+        assert again["duplicate"] is True
+        assert len(client.jobs()) == 1
+    finally:
+        handle.stop(grace=5.0)
+
+
+def test_interleaved_submissions_with_one_key_make_one_job(tmp_path):
+    # Both submissions look the key up before either creates its job;
+    # the store's check-and-insert still lets only one through.
+    handle = start_in_thread(ServiceConfig(
+        port=0, workers=1, store_dir=str(tmp_path / "store"),
+    ))
+    store = handle.service.store
+    both_looked_up = threading.Barrier(2, timeout=10.0)
+    find_by_key = store.find_by_key
+
+    def find_then_wait(key):
+        found = find_by_key(key)
+        both_looked_up.wait()
+        return found
+
+    store.find_by_key = find_then_wait
+    responses = []
+
+    def submit():
+        client = Client(port=handle.port, timeout=30.0)
+        responses.append(client.submit(path=str(TRACE), key="raced"))
+
+    try:
+        threads = [threading.Thread(target=submit) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert len(responses) == 2
+        assert responses[0]["id"] == responses[1]["id"]
+        assert sorted(bool(r.get("duplicate")) for r in responses) == [
+            False, True,
+        ]
+        assert len(Client(port=handle.port).jobs()) == 1
+    finally:
+        handle.stop(grace=5.0)
+
+
 # -- job deadline and requeue -------------------------------------------------
 
 
@@ -219,6 +311,26 @@ def test_job_requeue_budget_is_finite(tmp_path):
         assert record["requeues"] == 1
     finally:
         handle.stop(grace=5.0)
+
+
+def test_torn_classifier_checkpoint_heals_across_jobs(daemon):
+    # The first job's classifier checkpoint is torn; the next job on the
+    # resident partition recomputes it, and both serve the CLI's bytes.
+    expected = {
+        tool: _check_json([str(TRACE), "--tool", tool])
+        for tool in ("FastTrack", "WCP")
+    }
+    plan = _install([{
+        "point": "classifier.write", "action": "torn",
+        "match": {"shard": 0},
+    }])
+    client = Client(port=daemon.port, timeout=30.0)
+    for tool in ("FastTrack", "WCP"):
+        job = client.submit(path=str(TRACE), tools=[tool])
+        client.wait(job["id"], timeout=60.0, poll=0.05)
+        served = client.result_bytes(job["id"]).decode("utf-8")
+        assert served == expected[tool]
+    assert plan.report()[0]["fired"] == 1
 
 
 # -- store durability ---------------------------------------------------------

@@ -269,6 +269,10 @@ class TestRecordAndAnnotate:
         assert main(["minimize", clean_file]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_minimize_bad_var_is_a_usage_error(self, racy_file, capsys):
+        assert main(["minimize", racy_file, "--var", "a[b"]) == 2
+        assert capsys.readouterr().err == "error: bad target 'a[b'\n"
+
 
 class TestInProcessCheck:
     """``repro check`` without ``--jobs``/``--shards`` analyzes the file's
@@ -367,9 +371,42 @@ ROT = {
 }
 
 
+#: JSONL records whose fields have the wrong JSON type.
+WRONG_TYPED = {
+    "site-list": '{"op": "wr", "tid": 0, "target": "x", "site": [1]}',
+    "target-object": '{"op": "wr", "tid": 0, "target": {"a": 1}}',
+    "target-nested-list": '{"op": "wr", "tid": 0, "target": [["a"], 1]}',
+    "tid-list": '{"op": "wr", "tid": [0], "target": "x"}',
+    "tid-string": '{"op": "wr", "tid": "0", "target": "x"}',
+    "tid-float": '{"op": "wr", "tid": 1.5, "target": "x"}',
+}
+
+
 class TestUnreadableTrace:
     """Every verb reads a trace file one way and refuses a bad one with
     exit 2 and an ``error: PATH: ...`` line."""
+
+    @pytest.mark.parametrize("verb", ["check", "check-shards"])
+    @pytest.mark.parametrize("form", sorted(WRONG_TYPED))
+    def test_wrong_typed_jsonl_field_exits_2(
+        self, form, verb, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(WRONG_TYPED[form] + "\n")
+        assert main([*READERS[verb], str(path), "--format", "jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 1: bad event record ")
+        assert err.endswith(f"  offending line: {WRONG_TYPED[form]}\n")
+
+    @pytest.mark.parametrize("verb", ["check", "check-shards"])
+    def test_boolean_tid_and_float_site_still_parse(
+        self, verb, tmp_path, capsys
+    ):
+        path = tmp_path / "odd.jsonl"
+        path.write_text(
+            '{"op": "wr", "tid": true, "target": "x", "site": 1.5}\n'
+        )
+        assert main([*READERS[verb], str(path), "--format", "jsonl"]) == 0
 
     @pytest.mark.parametrize("verb", sorted(READERS))
     def test_malformed_trace_exits_2(self, verb, tmp_path, capsys):

@@ -138,6 +138,18 @@ def test_validation_failures_return_400(client):
     assert excinfo.value.status == 400
 
 
+def test_wrong_typed_event_record_returns_400(client):
+    for record in (
+        {"op": "wr", "tid": 0, "target": "x", "site": [1]},
+        {"op": "wr", "tid": "0", "target": "x"},
+        {"op": "wr", "tid": 0, "target": {"a": 1}},
+    ):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(events=[record])
+        assert excinfo.value.status == 400, record
+        assert "bad event record" in str(excinfo.value)
+
+
 def test_unknown_job_and_unknown_path_return_404(client):
     with pytest.raises(ServiceError) as excinfo:
         client.status("no-such-job")

@@ -2,6 +2,7 @@
 job queue, disk job store, and the URL router."""
 
 import os
+import sys
 import threading
 
 import pytest
@@ -10,7 +11,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service.queue import JobQueue, QueueClosed, QueueFull
 from repro.service.routes import Router
 from repro.service.server import ValidationError, _validate_spec
-from repro.service.store import JobStore
+from repro.service.store import DuplicateKey, JobStore
 
 
 class TestMetrics:
@@ -159,6 +160,68 @@ class TestJobStore:
         assert store.read(stale) is None
         assert store.read(fresh) is not None
         assert store.read(active) is not None
+
+    def test_taken_key_raises_with_the_first_job(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        first = store.create(SPEC, key="k")
+        with pytest.raises(DuplicateKey) as excinfo:
+            store.create(SPEC, key="k")
+        assert excinfo.value.record["id"] == first["id"]
+        assert [r["id"] for r in store.list_jobs()] == [first["id"]]
+        assert store.find_by_key("k")["id"] == first["id"]
+        assert store.find_by_key("other") is None
+
+    def test_concurrent_creates_with_one_key_make_one_job(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        created, duplicates = [], []
+        start = threading.Barrier(8, timeout=10.0)
+
+        def create():
+            start.wait()
+            try:
+                created.append(store.create(SPEC, key="k")["id"])
+            except DuplicateKey as duplicate:
+                duplicates.append(duplicate.record["id"])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=create) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(created) == 1
+        assert duplicates == created * 7
+        assert [r["id"] for r in store.list_jobs()] == created
+
+    def test_delete_frees_the_key(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        store.delete(store.create(SPEC, key="k")["id"])
+        assert store.find_by_key("k") is None
+        assert store.create(SPEC, key="k")["key"] == "k"
+
+    def test_index_is_built_from_the_records_on_disk(self, tmp_path):
+        earlier = JobStore(str(tmp_path))
+        first = earlier.create(SPEC, key="k")
+        store = JobStore(str(tmp_path))
+        assert store.find_by_key("k")["id"] == first["id"]
+        with pytest.raises(DuplicateKey):
+            store.create(SPEC, key="k")
+
+    def test_record_without_the_key_is_a_miss(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        gone = store.create(SPEC, key="gone")
+        rekeyed = store.create(SPEC, key="rekeyed")
+        # Changed behind the index's back: removed, and rewritten.
+        os.unlink(os.path.join(store.job_dir(gone["id"]), "job.json"))
+        store.update(rekeyed["id"], key="new")
+        assert store.find_by_key("gone") is None
+        assert store.find_by_key("rekeyed") is None
+        assert store.create(SPEC, key="gone")["id"] != gone["id"]
 
     def _partition(self, store, key, last_used):
         store.touch_partition(key)
