@@ -25,9 +25,10 @@ Since the distributed-tracing PR the file also records (not gates) the
 tracing-era costs: what a histogram observation pays for carrying an
 exemplar, how fast :func:`repro.obs.stitch_traces` +
 :func:`repro.obs.critical_path` chew through span records, and the
-end-to-end wall of a traced job through the *service* path (in-thread
-daemon, ``X-Repro-Trace-Id`` submitted, telemetry sink on) next to the
-same job with telemetry off.
+end-to-end wall of a traced job through the *service* path (a ``repro
+serve`` process, ``X-Repro-Trace-Id`` submitted, telemetry sink on) next
+to the same job on a second daemon with telemetry off, timed in
+alternating pairs.
 
 Tunables: ``BENCH_OBS_SCALE`` (default 4000 ≈ 96k events) and
 ``BENCH_OBS_ROUNDS`` (default 7, best kept).
@@ -35,10 +36,16 @@ Tunables: ``BENCH_OBS_SCALE`` (default 4000 ≈ 96k events) and
 
 import gc
 import os
+import re
 import shutil
+import signal
+import statistics
+import subprocess
+import sys
 import tempfile
 import time
 
+import repro
 from repro import obs
 from repro.bench.eclipse import import_program
 from repro.kernels import run_kernel
@@ -48,6 +55,10 @@ from repro.trace.columnar import ColumnarTrace
 
 OBS_SCALE = int(os.environ.get("BENCH_OBS_SCALE", "4000"))
 ROUNDS = int(os.environ.get("BENCH_OBS_ROUNDS", "7"))
+
+#: Traced/untraced job pairs for the service wall: one job per mode read
+#: +33%, +40% and -0.1% on three runs of one tree.
+PAIRS = 7
 
 TOOL = "FastTrack"
 
@@ -207,48 +218,113 @@ def test_exemplar_and_stitching_overhead(obs_bench_recorder):
     )
 
 
+def _serve(store, telemetry=None):
+    """A ``repro serve`` process on an ephemeral port, with its client.
+
+    A process of its own, because the telemetry sink is process-wide:
+    two daemons in one interpreter would trace each other's jobs."""
+    from repro.service.client import Client
+
+    argv = [
+        sys.executable, "-m", "repro", "serve", "--port", "0",
+        "--workers", "1", "--store", store,
+    ]
+    if telemetry is not None:
+        argv += ["--telemetry", telemetry]
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    log = store + ".log"
+    with open(log, "wb") as stream:
+        process = subprocess.Popen(
+            argv, stdout=subprocess.DEVNULL, stderr=stream,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    deadline = time.monotonic() + 60.0
+    while True:
+        if process.poll() is not None or time.monotonic() > deadline:
+            _stop(process)
+            raise RuntimeError(f"repro serve did not come up; see {log}")
+        with open(log, "rb") as stream:
+            match = re.search(
+                rb"listening on http://([\d.]+):(\d+)", stream.read()
+            )
+        if match:
+            client = Client(
+                match.group(1).decode(), int(match.group(2)), timeout=120.0
+            )
+            try:
+                client.healthz()
+                return process, client
+            except OSError:
+                pass
+        time.sleep(0.01)
+
+
+def _stop(process):
+    """SIGTERM (the daemon's drain), then kill if it lingers."""
+    if process.poll() is None:
+        process.send_signal(signal.SIGTERM)
+        try:
+            process.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
+
+
 def test_traced_service_job_wall(obs_bench_recorder, tmp_path):
     """End-to-end wall of one job through the daemon, traced vs not:
     the price of the full tracing path (header → job record → runner
-    trace scope → per-shard spans → exemplars), recorded, not gated."""
-    from repro.service.client import Client
-    from repro.service.server import ServiceConfig, start_in_thread
+    trace scope → per-shard spans → exemplars), recorded, not gated.
+
+    Both daemons start once; ``PAIRS`` pairs of jobs alternate which
+    mode goes first, and each job's trace carries a leading comment of
+    its own, so no job reuses another's partition."""
     from repro.trace.serialize import dumps
 
     trace_text = dumps(
         list(run_program(import_program(OBS_SCALE // 4), seed=0).events)
     )
-    trace_path = tmp_path / "bench.trace"
-    trace_path.write_text(trace_text)
-    walls = {}
-    for mode in ("untraced", "traced"):
-        telemetry = (
-            str(tmp_path / "tel") if mode == "traced" else None
-        )
-        handle = start_in_thread(ServiceConfig(
-            port=0, workers=1, store_dir=str(tmp_path / f"store-{mode}"),
-            telemetry=telemetry, default_shards=2,
-        ))
-        try:
-            client = Client(port=handle.port, timeout=120.0)
-            gc.collect()
-            start = time.perf_counter()
-            job = client.submit(
-                path=str(trace_path),
-                trace_id="bench-trace" if mode == "traced" else None,
+    modes = ("untraced", "traced")
+    daemons = {}
+    try:
+        for mode in modes:
+            daemons[mode] = _serve(
+                str(tmp_path / f"store-{mode}"),
+                telemetry=str(tmp_path / "tel") if mode == "traced" else None,
             )
-            client.wait(job["id"], timeout=120.0, poll=0.02)
-            walls[mode] = time.perf_counter() - start
-        finally:
-            handle.stop(grace=5.0)
+        walls = {mode: [] for mode in modes}
+        for pair in range(PAIRS):
+            order = modes if pair % 2 == 0 else modes[::-1]
+            for mode in order:
+                path = tmp_path / f"job-{pair}-{mode}.trace"
+                path.write_text(f"# job {pair} {mode}\n" + trace_text)
+                client = daemons[mode][1]
+                gc.collect()
+                start = time.perf_counter()
+                job = client.submit(
+                    path=str(path), shards=2,
+                    trace_id="bench-trace" if mode == "traced" else None,
+                )
+                client.wait(job["id"], timeout=120.0, poll=0.02)
+                walls[mode].append(time.perf_counter() - start)
+    finally:
+        for process, _ in daemons.values():
+            _stop(process)
+    ratios = [
+        traced / untraced
+        for traced, untraced in zip(walls["traced"], walls["untraced"])
+    ]
+    untraced_s = statistics.median(walls["untraced"])
+    traced_s = statistics.median(walls["traced"])
+    overhead = statistics.median(ratios) - 1.0
     obs_bench_recorder["traced_service_job"] = {
         "events_scale": OBS_SCALE // 4,
-        "untraced_seconds": walls["untraced"],
-        "traced_seconds": walls["traced"],
-        "traced_over_untraced": walls["traced"] / walls["untraced"] - 1.0,
+        "pairs": PAIRS,
+        "untraced_seconds": untraced_s,
+        "traced_seconds": traced_s,
+        "traced_over_untraced": overhead,
+        "pair_ratios": ratios,
     }
     print(
-        f"\nservice job: untraced {walls['untraced']:.3f}s, "
-        f"traced {walls['traced']:.3f}s "
-        f"({walls['traced'] / walls['untraced'] - 1.0:+.1%})"
+        f"\nservice job over {PAIRS} pairs: untraced {untraced_s:.3f}s, "
+        f"traced {traced_s:.3f}s (median pair {overhead:+.1%})"
     )

@@ -1,13 +1,14 @@
 """Predictive detection overhead: WCP vs FastTrack, plus vindication.
 
 SmartTrack's headline (PLDI 2020) is that predictive analyses can run at
-near-FastTrack cost.  This benchmark measures our WCP implementation the
-same way ``bench_kernel_hotpath`` measures the observed-order kernels —
-interleaved best-of rounds over the eclipse ``Import`` workload, fused
-kernels on both sides — and records:
+near-FastTrack cost.  This benchmark measures our WCP implementation with
+best-of rounds over the eclipse ``Import`` workload, each tool on the
+loop the engine runs for it (``engine.worker.analyze_columns``):
+FastTrack on its fused kernel, WCP, which has no kernel, on its object
+path over the same columns.  It records:
 
-* FastTrack and WCP events-per-second (fused kernel path, the one the
-  engine's workers run) and the resulting overhead ratio;
+* FastTrack and WCP events-per-second on those loops and the resulting
+  overhead ratio;
 * the *extra races found*: WCP-warned variables beyond FastTrack's on
   the workload and across the golden corpus (with their vindication
   verdicts — the count of feasibility-checked witnesses);
@@ -35,7 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.eclipse import import_program
-from repro.kernels import run_kernel
+from repro.engine.worker import analyze_columns
 from repro.predict import predict_races
 from repro.runtime.scheduler import run_program
 from repro.trace.columnar import ColumnarTrace
@@ -61,7 +62,7 @@ def _best_of(columns, tool):
     for _ in range(ROUNDS):
         gc.collect()
         start = time.perf_counter()
-        detector = run_kernel(tool, columns)
+        detector, _, _ = analyze_columns(tool, columns)
         best = min(best, time.perf_counter() - start)
     return best, detector
 
@@ -95,7 +96,7 @@ def test_wcp_overhead_vs_fasttrack(benchmark, workload, predict_bench_recorder):
     )
     benchmark.extra_info["overhead"] = overhead
     benchmark.pedantic(
-        lambda: run_kernel("WCP", columns), rounds=1, iterations=1
+        lambda: analyze_columns("WCP", columns), rounds=1, iterations=1
     )
 
 

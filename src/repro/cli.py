@@ -255,7 +255,6 @@ def _cmd_check_sharded(args) -> int:
                 resume=resume,
                 classify=args.json,
                 tool_kwargs=kwargs,
-                kernel=_kernel_for(args, name),
                 policy=policy,
             )
             if name == args.tool:
@@ -315,15 +314,7 @@ def _cmd_check_sharded(args) -> int:
     return 1 if worst else 0
 
 
-def _kernel_for(args, tool: str) -> str:
-    """``--kernel fused`` binds only the selected tool: the companions
-    ``--all-tools`` adds run as ``auto``."""
-    return "auto" if args.kernel == "fused" and tool != args.tool else args.kernel
-
-
 def cmd_check(args) -> int:
-    from repro.kernels import has_kernel
-
     failed = _install_faults(args)
     if failed is not None:
         return failed
@@ -337,12 +328,6 @@ def cmd_check(args) -> int:
             print(
                 "error: --oracle needs the full trace in memory; "
                 "use --jobs 1 for the oracle",
-                file=sys.stderr,
-            )
-            return 2
-        if args.kernel == "fused" and not has_kernel(args.tool):
-            print(
-                f"error: --kernel fused: {args.tool!r} has no fused kernel",
                 file=sys.stderr,
             )
             return 2
@@ -384,7 +369,6 @@ def _cmd_check_single(args) -> int:
         detector, _, counts = analyze_columns(
             name, columns,
             tool_kwargs=default_tool_kwargs(name),
-            kernel=_kernel_for(args, name),
             classifier=classifier,
         )
         obs.record_rules(name, detector.stats)
@@ -781,7 +765,6 @@ def cmd_submit(args) -> int:
             path=args.trace,
             tools=tools,
             shards=args.shards,
-            kernel=args.kernel,
             fmt=args.format,
             trace_id=args.trace_id,
         )
@@ -916,13 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for the sharded engine (1 = in-process; "
         "'auto' = one per CPU)",
-    )
-    check.add_argument(
-        "--kernel",
-        choices=("auto", "fused", "generic"),
-        default="auto",
-        help="analysis loop: fused columnar kernel, generic object path, "
-        "or auto (fused when the tool has one)",
     )
     check.add_argument(
         "--shards",
@@ -1179,9 +1155,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--format", choices=("text", "jsonl"), default="text")
     submit.add_argument("--shards", type=int, default=None, metavar="M")
-    submit.add_argument(
-        "--kernel", choices=("auto", "fused", "generic"), default="auto"
-    )
     submit.add_argument(
         "--wait", action="store_true",
         help="poll until the job finishes and print its result document "

@@ -15,7 +15,8 @@ Four layers (one module each):
    ``multiprocessing`` workers), each seeing the complete sync order plus
    its variables' accesses, so per-variable analysis is exact;
    kernel-equipped tools consume the shard columns through the fused
-   kernels of :mod:`repro.kernels` (``kernel='auto'|'fused'|'generic'``);
+   kernels of :mod:`repro.kernels`, every other tool through its object
+   path;
 3. :mod:`~repro.engine.merge` — deterministic merge of warnings, cost
    stats, and sharing-classifier counts, ordered by original trace
    position and deduplicated with the single-threaded reporting
@@ -78,7 +79,6 @@ from repro.engine.worker import (
     install_drain_handler,
     request_drain,
     reset_drain,
-    resolve_kernel,
     run_shard,
 )
 from repro.trace import events as ev
@@ -146,7 +146,6 @@ def _run_pending(
     tool_kwargs: Optional[Dict],
     jobs: int,
     classify: bool,
-    kernel: str,
     executor: Optional[concurrent.futures.Executor] = None,
     policy: Optional[RetryPolicy] = None,
     trace: Optional[Dict] = None,
@@ -167,7 +166,7 @@ def _run_pending(
     previous = install_drain_handler() if owns_process else None
     try:
         return run_supervised(
-            root, pending, tool, tool_kwargs, jobs, classify, kernel,
+            root, pending, tool, tool_kwargs, jobs, classify,
             executor=executor, policy=policy, trace=trace,
         )
     finally:
@@ -201,14 +200,9 @@ def _run(
     resume: bool,
     classify: bool,
     tool_kwargs: Optional[Dict],
-    kernel: str,
     executor: Optional[concurrent.futures.Executor] = None,
     policy: Optional[RetryPolicy] = None,
 ) -> MergedReport:
-    # Usage errors (unknown kernel mode, --kernel fused on a kernel-less
-    # tool) must fail fast, not be retried and quarantined as if the
-    # shards themselves were poisoned.
-    resolve_kernel(kernel, tool)
     owns_workdir = workdir is None
     root = workdir if workdir is not None else tempfile.mkdtemp(
         prefix="repro-engine-"
@@ -267,7 +261,7 @@ def _run(
             # submission timestamp rides along for queue-wait attribution.
             trace_ctx = obs.propagation_context(submitted=submitted)
             failures = list(_run_pending(
-                root, pending, tool, tool_kwargs, jobs, classify, kernel,
+                root, pending, tool, tool_kwargs, jobs, classify,
                 executor=executor, policy=policy, trace=trace_ctx,
             ))
         failed = {failure.shard for failure in failures}
@@ -282,7 +276,7 @@ def _run(
             # ``completed_shards`` above — recompute them under the same
             # supervision before giving up on them.
             failures.extend(_run_pending(
-                root, redo, tool, tool_kwargs, jobs, classify, kernel,
+                root, redo, tool, tool_kwargs, jobs, classify,
                 executor=executor, policy=policy,
                 trace=obs.propagation_context(submitted=time.monotonic()),
             ))
@@ -333,7 +327,6 @@ def check_events(
     resume: bool = False,
     classify: bool = False,
     tool_kwargs: Optional[Dict] = None,
-    kernel: str = "auto",
     executor: Optional[concurrent.futures.Executor] = None,
     policy: Optional[RetryPolicy] = None,
     transport: str = "mmap",
@@ -358,7 +351,6 @@ def check_events(
         resume,
         classify,
         tool_kwargs,
-        kernel,
         executor=executor,
         policy=policy,
     )
@@ -375,7 +367,6 @@ def check_trace_file(
     resume: bool = False,
     classify: bool = False,
     tool_kwargs: Optional[Dict] = None,
-    kernel: str = "auto",
     executor: Optional[concurrent.futures.Executor] = None,
     policy: Optional[RetryPolicy] = None,
 ) -> MergedReport:
@@ -395,7 +386,6 @@ def check_trace_file(
         resume,
         classify,
         tool_kwargs,
-        kernel,
         executor=executor,
         policy=policy,
     )

@@ -161,7 +161,6 @@ class _Supervisor:
         tool: str,
         tool_kwargs: Optional[Dict],
         classify: bool,
-        kernel: str,
         policy: RetryPolicy,
         trace: Optional[Dict] = None,
     ) -> None:
@@ -170,7 +169,6 @@ class _Supervisor:
         self.tool = tool
         self.tool_kwargs = tool_kwargs
         self.classify = classify
-        self.kernel = kernel
         self.policy = policy
         self.trace = trace
         self.workdir = Workdir(root)
@@ -207,7 +205,7 @@ class _Supervisor:
         # mechanism (fork, spawn, and the in-process fallback alike).
         return (
             self.root, shard, self.tool, self.tool_kwargs,
-            self.classify, self.kernel, attempt, self.trace,
+            self.classify, attempt, self.trace,
         )
 
     def handle_failure(self, shard: int, attempt: int, error: BaseException,
@@ -468,7 +466,6 @@ def run_supervised(
     tool_kwargs: Optional[Dict],
     jobs: int,
     classify: bool,
-    kernel: str,
     executor: Optional[concurrent.futures.Executor] = None,
     policy: Optional[RetryPolicy] = None,
     trace: Optional[Dict] = None,
@@ -487,7 +484,7 @@ def run_supervised(
     if policy is None:
         policy = RetryPolicy()
     supervisor = _Supervisor(
-        root, pending, tool, tool_kwargs, classify, kernel, policy,
+        root, pending, tool, tool_kwargs, classify, policy,
         trace=trace,
     )
     if not pending:

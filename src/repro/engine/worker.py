@@ -12,15 +12,13 @@ complete).
 The shard arrives through the v3 zero-copy transport
 (:mod:`repro.engine.transport`): the worker memory-maps the shard's
 file and wraps it with ``memoryview`` casts — no pickle framing, no
-per-event deserialization, no per-batch intern deltas.  Kernel-equipped
-tools (``repro.kernels.KERNEL_TOOLS``) run their fused loop directly
-over those casts; the generic object path reconstructs ``Event``
-objects lazily from the same casts.
-``kernel='auto'`` (the default) picks the kernel when one exists and
-falls back to the object path otherwise; ``'fused'`` demands one;
-``'generic'`` forces the object path.  Either way the payload is
-bit-identical — the kernels' equivalence contract plus the shard replay
-argument compose.  That choice, the kernel-fault fallback and the
+per-event deserialization, no per-batch intern deltas.  The tool picks
+the loop: kernel-equipped tools (``repro.kernels.KERNEL_TOOLS``) run
+their fused loop directly over those casts, and every other tool runs
+the object path, which reconstructs ``Event`` objects lazily from the
+same casts.  A kernel that fails falls back to the object path, with
+bit-identical payloads — the kernels' equivalence contract plus the
+shard replay argument compose.  That choice, the fallback and the
 classifier verdict live in :func:`analyze_columns`, which ``repro check``
 also runs in process over a whole trace's columns.  The view is closed
 at the shard boundary so pooled workers never accumulate mappings.
@@ -61,21 +59,16 @@ from repro.trace.columnar import ColumnarTrace
 
 __all__ = [
     "DrainRequested",
-    "KERNEL_MODES",
     "analyze_columns",
     "analyze_shard",
     "drain_requested",
     "install_drain_handler",
     "request_drain",
     "reset_drain",
-    "resolve_kernel",
     "run_shard",
 ]
 
 PAYLOAD_VERSION = 1
-
-#: Accepted values for the ``kernel`` selector.
-KERNEL_MODES = ("auto", "fused", "generic")
 
 #: Exit status of a shard worker that drained on SIGTERM (128 + 15, the
 #: conventional "terminated" code — but only *after* checkpointing).
@@ -141,27 +134,6 @@ def install_drain_handler():
         return None
 
 
-def resolve_kernel(kernel: str, tool: str) -> bool:
-    """Decide whether ``tool`` runs through its fused kernel.
-
-    ``auto`` uses the kernel when one exists; ``fused`` requires one
-    (``ValueError`` otherwise); ``generic`` always uses the object path.
-    """
-    if kernel not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {kernel!r}; expected one of {KERNEL_MODES}"
-        )
-    if kernel == "generic":
-        return False
-    if has_kernel(tool):
-        return True
-    if kernel == "fused":
-        raise ValueError(
-            f"--kernel fused requested but {tool!r} has no fused kernel"
-        )
-    return False
-
-
 def _tally_kinds(stats: CostStats, kind_counts: Dict[int, int]) -> None:
     """Columnar equivalent of :meth:`Detector.absorb_kind_counts`, taken
     from the analyzed columns'
@@ -183,7 +155,6 @@ def analyze_columns(
     columns: ColumnarTrace,
     indices: Optional[Sequence[int]] = None,
     tool_kwargs: Optional[Dict] = None,
-    kernel: str = "auto",
     classifier: Optional[SharingClassifier] = None,
     shard: Optional[int] = None,
 ) -> Tuple[Detector, str, Optional[Dict]]:
@@ -191,16 +162,17 @@ def analyze_columns(
     shard worker's payload and ``repro check``'s in-process result.
 
     ``indices`` maps column positions to trace positions (``None``: the
-    columns are the whole trace).  A fused-kernel failure degrades: the
-    run is redone on the object path, bit-identical by the equivalence
-    contract.  ``classifier``, a profile of the same columns, adopts the
-    detector's race verdict when it can.  ``shard`` labels the
+    columns are the whole trace).  The tool's fused kernel runs when it
+    has one, and the object path otherwise.  A kernel failure degrades:
+    the run is redone on the object path, bit-identical by the
+    equivalence contract.  ``classifier``, a profile of the same columns,
+    adopts the detector's race verdict when it can.  ``shard`` labels the
     ``kernels`` span.  Returns the detector, the loop that drove it
     (``'fused'`` or ``'generic'``) and the classifier's counts.
     """
     where = {"tool": tool} if shard is None else {"tool": tool, "shard": shard}
     detector: Detector = make_detector(tool, **(tool_kwargs or {}))
-    fused = resolve_kernel(kernel, tool)
+    fused = has_kernel(tool)
     with obs.span("kernels", events=len(columns), **where) as span:
         if fused:
             try:
@@ -239,6 +211,10 @@ def analyze_shard(
 ) -> Dict:
     """Run ``tool`` over one shard and checkpoint + return the payload.
 
+    ``kernel`` accepts only ``'auto'``: the tool chooses its loop (see
+    :func:`analyze_columns`).  The cold-run benchmark (``perfbench/``)
+    still passes it.
+
     ``attempt`` is the supervisor's retry counter for this shard; it is
     stable context for fault plans (a plan targeting ``{"shard": 3,
     "attempt": 0}`` hits exactly the first try, whichever worker process
@@ -256,6 +232,11 @@ def analyze_shard(
     checkpoint when one is valid for this partition generation;
     otherwise the shard is profiled and the checkpoint written.
     """
+    if kernel != "auto":
+        raise ValueError(
+            f"unknown kernel mode {kernel!r}; the tool chooses its analysis "
+            "loop, the only mode is 'auto'"
+        )
     if faults.active():
         faults.fire("worker.crash", shard=shard, tool=tool, attempt=attempt)
         faults.fire("worker.hang", shard=shard, tool=tool, attempt=attempt)
@@ -288,7 +269,7 @@ def analyze_shard(
             # The classifier may not hold the columns past close: the
             # analysis resolves its verdict before returning.
             detector, used, profiled = analyze_columns(
-                tool, columns, indices, tool_kwargs, kernel,
+                tool, columns, indices, tool_kwargs,
                 classifier=(
                     SharingClassifier().process(columns)
                     if classify and counts is None else None
@@ -326,7 +307,6 @@ def run_shard(
     tool: str,
     tool_kwargs: Optional[Dict] = None,
     classify: bool = False,
-    kernel: str = "auto",
     attempt: int = 0,
     trace: Optional[Dict] = None,
 ) -> int:
@@ -356,8 +336,8 @@ def run_shard(
         trace = tracecontext.context_from_env()
     with tracecontext.adopt(trace):
         analyze_shard(
-            Workdir(root), shard, tool, tool_kwargs, classify, kernel,
-            attempt, submitted=(trace or {}).get("submitted"),
+            Workdir(root), shard, tool, tool_kwargs, classify,
+            attempt=attempt, submitted=(trace or {}).get("submitted"),
         )
     if multiprocessing.parent_process() is not None and drain_requested():
         # Pool worker: the checkpoint is on disk; exiting here refuses

@@ -23,11 +23,11 @@ Each kernel drives an ordinary detector instance and must produce
 counters, and shadow state to ``detector.process(trace)`` — the
 differential suites (``tests/test_kernels.py``,
 ``tests/test_differential_fuzz.py``) enforce it, and docs/KERNELS.md
-spells out the argument.  Tools without a kernel (Empty, Eraser,
-MultiRace, Goldilocks, BasicVC, AsyncFinish) simply keep using the
-object path; ``repro check --kernel {auto,fused,generic}`` selects
-between them, and the sharded engine's workers feed shard columns to
-kernels directly.
+spells out the argument.  The tool decides the loop: the engine's
+:func:`~repro.engine.worker.analyze_columns` runs a tool's kernel when
+:func:`has_kernel` says it has one, and the object path otherwise (Empty,
+Eraser, MultiRace, Goldilocks, BasicVC, WCP, AsyncFinish) or after a
+kernel fault.
 """
 
 from __future__ import annotations
@@ -37,16 +37,15 @@ from typing import Dict, Optional, Sequence
 from repro import faults
 from repro.core.detector import Detector
 from repro.detectors.registry import make_detector
-from repro.kernels import djit, fasttrack, wcp
+from repro.kernels import djit, fasttrack
 
 #: Tool name → fused kernel entry point ``run(detector, col, indices)``.
 #: A tool gets a kernel only where one pays end to end: FastTrack (the
-#: paper's detector), DJIT+ and WCP, which the cold-run benchmark's
-#: service workload runs on every trace.
+#: paper's detector) and DJIT+, which the cold-run benchmark's service
+#: workload runs on every trace.
 KERNELS = {
     "FastTrack": fasttrack.run,
     "DJIT+": djit.run,
-    "WCP": wcp.run,
 }
 
 #: The kernel-equipped tools, in registry order.

@@ -45,8 +45,10 @@ clocks are therefore pointwise ≤ the unsharded clocks and a sharded WCP
 run reports a **superset** of the unsharded warnings (and still a
 superset of FastTrack's, whose edges are all broadcast).  Unlike the
 happens-before tools, sharded WCP is not warning-for-warning identical
-to a single-threaded run; the fused kernel *is* bit-identical to this
-object path at any fixed shard count.
+to a single-threaded run.
+
+This class is WCP's one implementation: it has no fused kernel, so the
+engine, ``repro check`` and the service all run it on the object path.
 """
 
 from __future__ import annotations

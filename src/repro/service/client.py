@@ -225,7 +225,6 @@ class Client:
         events: Optional[List[Dict]] = None,
         tools: Optional[List[str]] = None,
         shards: Optional[int] = None,
-        kernel: Optional[str] = None,
         fmt: Optional[str] = None,
         key: Optional[str] = None,
         trace_id: Optional[str] = None,
@@ -252,8 +251,6 @@ class Client:
         pairs = [("tool", tool) for tool in tools or []]
         if shards is not None:
             pairs.append(("shards", str(shards)))
-        if kernel is not None:
-            pairs.append(("kernel", kernel))
         if fmt is not None:
             pairs.append(("format", fmt))
         pairs.append(("key", key))

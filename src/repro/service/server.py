@@ -54,8 +54,6 @@ from urllib.parse import parse_qs, urlsplit
 from repro import engine, faults, obs
 from repro.detectors import DETECTORS, default_tool_kwargs, resolve_tool_name
 from repro.engine.checkpoint import CheckpointError, Workdir
-from repro.engine.worker import KERNEL_MODES
-from repro.kernels import has_kernel
 from repro.obs.metrics import EXPOSITION_CONTENT_TYPE, MetricsRegistry
 from repro.obs.rules import record_rule_counts
 from repro.obs.tracecontext import TRACE_HEADER, clean_trace_id, new_trace_id
@@ -115,9 +113,7 @@ class ValidationError(ValueError):
     """A submission the daemon refuses with HTTP 400."""
 
 
-def _validate_spec(
-    tools: List[str], shards: int, kernel: str, fmt: str
-) -> None:
+def _validate_spec(tools: List[str], shards: int, fmt: str) -> None:
     for tool in tools:
         if tool not in DETECTORS:
             known = ", ".join(DETECTORS)
@@ -128,14 +124,6 @@ def _validate_spec(
         raise ValidationError("duplicate tools in selection")
     if shards < 1:
         raise ValidationError(f"shards must be >= 1, got {shards}")
-    if kernel not in KERNEL_MODES:
-        raise ValidationError(
-            f"unknown kernel mode {kernel!r}; expected one of {KERNEL_MODES}"
-        )
-    if kernel == "fused" and not any(has_kernel(tool) for tool in tools):
-        raise ValidationError(
-            "kernel=fused but none of the selected tools has a fused kernel"
-        )
     if fmt not in TRACE_FORMATS:
         raise ValidationError(
             f"unknown trace format {fmt!r}; expected one of {TRACE_FORMATS}"
@@ -364,20 +352,11 @@ class RaceService:
     # -- submission ----------------------------------------------------------
 
     def build_spec(
-        self,
-        tools: List[str],
-        shards: Optional[int],
-        kernel: str,
-        fmt: str,
+        self, tools: List[str], shards: Optional[int], fmt: str
     ) -> Dict:
         shards = self.config.default_shards if shards is None else shards
-        _validate_spec(tools, shards, kernel, fmt)
-        return {
-            "tools": tools,
-            "shards": shards,
-            "kernel": kernel,
-            "format": fmt,
-        }
+        _validate_spec(tools, shards, fmt)
+        return {"tools": tools, "shards": shards, "format": fmt}
 
     def accept(self, record: Dict) -> Dict:
         """Enqueue a job whose trace is already spooled; 429 on full."""
@@ -636,9 +615,6 @@ class RaceService:
         results: Dict[str, Dict] = {}
         for position, tool in enumerate(tools):
             self._set_stage(job_id, f"analyze:{tool}")
-            kernel = record["kernel"]
-            if kernel == "fused" and not has_kernel(tool):
-                kernel = "auto"  # companion tools fall back, as the CLI does
             policy = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
@@ -659,7 +635,6 @@ class RaceService:
                 resume=True,
                 classify=True,
                 tool_kwargs=default_tool_kwargs(tool),
-                kernel=kernel,
                 executor=self._ensure_executor(),
                 policy=policy,
             )
@@ -713,14 +688,8 @@ class RaceService:
             return None
         progress = dict(record.get("progress") or {})
         key = record.get("partition")
-        workdir = (
-            self.store.partition_dir(key)
-            if key
-            # Jobs recovered from a pre-resident-partition store carry no
-            # partition key; their legacy per-job work/ dir still applies.
-            else self.store.workdir(job_id)
-        )
-        if os.path.isdir(workdir):
+        workdir = self.store.partition_dir(key) if key else None
+        if workdir is not None and os.path.isdir(workdir):
             wd = Workdir(workdir)
             meta = wd.read_meta()
             if meta is not None:
@@ -800,7 +769,6 @@ def _duplicate_response(handler: "_Handler", record: Dict) -> int:
             "state": record.get("state", "queued"),
             "tools": record.get("tools", []),
             "shards": record.get("shards"),
-            "kernel": record.get("kernel"),
             "format": record.get("format"),
             "key": record.get("key"),
             "trace_id": record.get("trace_id"),
@@ -838,7 +806,6 @@ def h_submit(handler: "_Handler", service: RaceService,
     )
     tools = _expand_tools(query.get("tool", []))
     shards = _query_int(query, "shards")
-    kernel = _first(query, "kernel")
     fmt = _first(query, "format")
 
     if content_type == "application/json":
@@ -862,7 +829,6 @@ def h_submit(handler: "_Handler", service: RaceService,
                 raise ValidationError(
                     f"shards must be an integer, got {envelope['shards']!r}"
                 )
-        kernel = kernel or envelope.get("kernel")
         fmt = fmt or envelope.get("format")
         if not key and envelope.get("key"):
             key = str(envelope["key"])
@@ -888,9 +854,7 @@ def h_submit(handler: "_Handler", service: RaceService,
     else:
         text = None
         fmt = fmt or _CONTENT_TYPE_FORMATS.get(content_type, "text")
-    spec = service.build_spec(
-        tools or ["FastTrack"], shards, kernel or "auto", fmt
-    )
+    spec = service.build_spec(tools or ["FastTrack"], shards, fmt)
     spec["trace_id"] = trace_id
     try:
         record = service.store.create(spec, key=key)
@@ -931,7 +895,6 @@ def h_submit(handler: "_Handler", service: RaceService,
             "state": "queued",
             "tools": record["tools"],
             "shards": record["shards"],
-            "kernel": record["kernel"],
             "format": record["format"],
             "key": record.get("key"),
             "trace_id": record.get("trace_id"),

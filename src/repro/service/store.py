@@ -5,8 +5,6 @@ Layout, one directory per job under the store root::
     STORE/jobs/<id>/
       job.json          the job record (state machine below); atomic writes
       trace.text        the spooled upload (``trace.jsonl`` for JSONL)
-      work/             legacy per-job engine working directory (kept for
-                        jobs recovered from a pre-resident-partition store)
       result.json       the final result document (terminal jobs only)
     STORE/partitions/<digest>-<fmt>-s<shards>/
                         one *resident partition* per distinct (trace
@@ -117,9 +115,6 @@ class JobStore:
 
     def trace_path(self, job_id: str, fmt: str) -> str:
         return os.path.join(self.job_dir(job_id), f"trace.{fmt}")
-
-    def workdir(self, job_id: str) -> str:
-        return os.path.join(self.job_dir(job_id), "work")
 
     def result_path(self, job_id: str) -> str:
         return os.path.join(self.job_dir(job_id), "result.json")

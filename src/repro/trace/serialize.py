@@ -66,6 +66,14 @@ _KIND_BY_NAME = {name: kind for kind, name in _NAME_BY_KIND.items()}
 #: Kinds whose target is another task/thread id (must parse to an int).
 _TID_TARGET_KINDS = (ev.FORK, ev.JOIN, ev.TASK_SPAWN, ev.TASK_AWAIT)
 
+#: The largest thread id a record may name, as its tid, as a fork, join
+#: or task target, or as a barrier member.  Detectors and kernels size
+#: their thread tables and vector clocks by the largest tid, so this
+#: bound, not the int64 tid column, caps what one record can make them
+#: allocate.  (The paper packs a tid into 8 bits; its largest benchmark
+#: runs 24 threads.)
+MAX_TID = 2**16 - 1
+
 _LINE = re.compile(
     r"^(?P<op>\w+)\s*\(\s*(?P<args>[^)]*)\s*\)\s*(?:@\s*(?P<site>\S+))?$"
 )
@@ -175,6 +183,10 @@ def parse_event_parts(line: str) -> Tuple[int, int, Hashable, Optional[str]]:
             tids = tuple(sorted(int(part) for part in args))
         except ValueError:
             raise TraceParseError(f"barrier members must be tids: {line!r}")
+        if tids and not (0 <= tids[0] and tids[-1] <= MAX_TID):
+            raise TraceParseError(
+                f"barrier members must be tids from 0 to {MAX_TID}: {line!r}"
+            )
         return kind, -1, tids, None
     if len(args) != 2:
         raise TraceParseError(f"expected two arguments in {line!r}")
@@ -182,12 +194,21 @@ def parse_event_parts(line: str) -> Tuple[int, int, Hashable, Optional[str]]:
         tid = int(args[0])
     except ValueError:
         raise TraceParseError(f"thread id must be an integer: {line!r}")
+    if not 0 <= tid <= MAX_TID:
+        raise TraceParseError(
+            f"thread id must be from 0 to {MAX_TID}: {line!r}"
+        )
     if kind in _TID_TARGET_KINDS:
         try:
             target: Hashable = int(args[1])
         except ValueError:
             raise TraceParseError(
                 f"{_NAME_BY_KIND[kind]} target must be a tid: {line!r}"
+            )
+        if not 0 <= target <= MAX_TID:
+            raise TraceParseError(
+                f"{_NAME_BY_KIND[kind]} target must be from 0 to "
+                f"{MAX_TID}: {line!r}"
             )
     else:
         target = parse_target(args[1])
@@ -397,14 +418,24 @@ def event_to_json(event: ev.Event) -> dict:
     return record
 
 
+def _check_thread_id(name: str, value) -> None:
+    """Refuse a JSONL thread id that is not an integer from 0 to
+    :data:`MAX_TID`."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value <= MAX_TID:
+        raise ValueError(f"{name} must be from 0 to {MAX_TID}, got {value!r}")
+
+
 def event_parts_from_json(
     record: dict,
 ) -> Tuple[int, int, Hashable, Optional[Hashable]]:
     """Decode one JSONL record to ``(kind, tid, target, site)`` (the
-    allocation-light core of :func:`event_from_json`).  A ``tid`` that
-    is not an integer, a site that is a list or an object, or a target
-    that is an object or holds a list or an object — none of which can
-    be interned — is a :class:`TraceParseError`."""
+    allocation-light core of :func:`event_from_json`).  A thread id — the
+    ``tid``, a fork, join or task target, a barrier member — that is not
+    an integer from 0 to :data:`MAX_TID`, a site that is a list or an
+    object, or a target that is an object or holds a list or an object —
+    none of which can be interned — is a :class:`TraceParseError`."""
     if not isinstance(record, dict):
         raise TraceParseError(
             f"event record must be a JSON object, got {record!r}"
@@ -417,13 +448,16 @@ def event_parts_from_json(
         target = _target_from_json(record["target"])
         if kind == ev.BARRIER_RELEASE:
             tid, target, site = -1, tuple(sorted(target)), None
+            for member in target:
+                _check_thread_id("barrier member", member)
         else:
             tid, site = record["tid"], record.get("site")
-            if not isinstance(tid, int):
-                raise TypeError(f"tid must be an integer, got {tid!r}")
+            _check_thread_id("tid", tid)
+            if kind in _TID_TARGET_KINDS:
+                _check_thread_id("target", target)
         hash((target, site))  # interning needs both hashable
         return kind, tid, target, site
-    except (KeyError, TypeError) as error:
+    except (KeyError, TypeError, ValueError) as error:
         raise TraceParseError(
             f"bad event record {record!r}: {error}"
         ) from None

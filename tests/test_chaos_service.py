@@ -343,8 +343,7 @@ def test_torn_record_write_is_unreadable_then_scrubbed(tmp_path):
     }])
     store = JobStore(str(tmp_path / "store"))
     record = store.create(
-        {"tools": ["FastTrack"], "shards": 1, "kernel": "auto",
-         "format": "text"}
+        {"tools": ["FastTrack"], "shards": 1, "format": "text"}
     )
     # The torn record must read as absent, never as garbage...
     assert store.read(record["id"]) is None
@@ -359,8 +358,7 @@ def test_torn_record_write_is_unreadable_then_scrubbed(tmp_path):
 def test_scrub_keeps_healthy_jobs(tmp_path):
     store = JobStore(str(tmp_path / "store"))
     healthy = store.create(
-        {"tools": ["FastTrack"], "shards": 1, "kernel": "auto",
-         "format": "text"}
+        {"tools": ["FastTrack"], "shards": 1, "format": "text"}
     )
     garbage = Path(store.jobs_dir) / "deadbeef"
     garbage.mkdir()

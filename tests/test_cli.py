@@ -382,6 +382,39 @@ WRONG_TYPED = {
 }
 
 
+#: One-record traces naming a thread id outside 0..MAX_TID, or a fork or
+#: join target that is not an integer: (format, record).
+OUT_OF_RANGE = {
+    "text-negative-tid": ("text", "wr(-1, x)"),
+    "text-negative-acquirer": ("text", "acq(-3, m)"),
+    "text-negative-fork-target": ("text", "fork(0, -1)"),
+    "text-negative-join-target": ("text", "join(0, -2)"),
+    "text-huge-tid": ("text", "wr(99999999999999999999999, x)"),
+    "text-int64-max-tid": ("text", "wr(9223372036854775807, x)"),
+    "text-tid-past-bound": ("text", f"wr({serialize.MAX_TID + 1}, x)"),
+    "text-negative-barrier-member": ("text", "barrier_rel(0, -3)"),
+    "jsonl-negative-tid": ("jsonl", '{"op": "wr", "tid": -2, "target": "x"}'),
+    "jsonl-negative-fork-target": (
+        "jsonl", '{"op": "fork", "tid": 0, "target": -3}'
+    ),
+    "jsonl-string-fork-target": (
+        "jsonl", '{"op": "fork", "tid": 0, "target": "x"}'
+    ),
+    "jsonl-float-join-target": (
+        "jsonl", '{"op": "join", "tid": 0, "target": 1.5}'
+    ),
+    "jsonl-huge-tid": (
+        "jsonl", '{"op": "wr", "tid": %d, "target": "x"}' % 2**70
+    ),
+    "jsonl-int64-max-tid": (
+        "jsonl", '{"op": "wr", "tid": %d, "target": "x"}' % (2**63 - 1)
+    ),
+    "jsonl-negative-barrier-member": (
+        "jsonl", '{"op": "barrier_rel", "target": [0, -4]}'
+    ),
+}
+
+
 class TestUnreadableTrace:
     """Every verb reads a trace file one way and refuses a bad one with
     exit 2 and an ``error: PATH: ...`` line."""
@@ -397,6 +430,37 @@ class TestUnreadableTrace:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: line 1: bad event record ")
         assert err.endswith(f"  offending line: {WRONG_TYPED[form]}\n")
+
+    @pytest.mark.parametrize("verb", ["check", "check-shards"])
+    @pytest.mark.parametrize("form", sorted(OUT_OF_RANGE))
+    def test_out_of_range_thread_id_exits_2(
+        self, form, verb, tmp_path, capsys
+    ):
+        fmt, record = OUT_OF_RANGE[form]
+        path = tmp_path / f"bad.{fmt}"
+        path.write_text(record + "\n")
+        assert main([*READERS[verb], str(path), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 1: ")
+        assert err.endswith(f"  offending line: {record}\n")
+
+    @pytest.mark.parametrize("verb", ["check", "check-shards"])
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    def test_largest_thread_id_still_parses(self, fmt, verb, tmp_path):
+        top = serialize.MAX_TID
+        trace = Trace([
+            ev.Event(ev.FORK, 0, top, None),
+            ev.Event(ev.WRITE, top, "x", None),
+            ev.Event(ev.BARRIER_RELEASE, -1, (0, top), None),
+            ev.Event(ev.JOIN, 0, top, None),
+            ev.Event(ev.WRITE, 0, "x", None),
+        ])
+        path = tmp_path / f"top.{fmt}"
+        path.write_text(
+            serialize.dumps(trace) if fmt == "text"
+            else serialize.dumps_jsonl(trace)
+        )
+        assert main([*READERS[verb], str(path), "--format", fmt]) == 0
 
     @pytest.mark.parametrize("verb", ["check", "check-shards"])
     def test_boolean_tid_and_float_site_still_parse(

@@ -5,9 +5,8 @@ Covers the ISSUE acceptance matrix for ``repro.predict``:
 * WCP's warning set is a superset of FastTrack's everywhere, and a
   *strict* superset on the golden corpus — with every extra report
   vindicated by a feasibility-checked witness reordering;
-* the fused WCP kernel is bit-identical to the object path (including
-  the vindicator's candidate pairs) and the sharded engine honours the
-  per-shard soundness envelope at 1/2/4 shards;
+* the sharded engine honours the per-shard soundness envelope at
+  1/2/4 shards;
 * ``repro check --tool wcp`` / ``repro predict`` / ``tool: wcp``
   service jobs run end to end, and ``obs.rules`` exposes the WCP edge
   kinds as ``repro_rule_total{detector="WCP",rule=...}``;
@@ -25,12 +24,7 @@ import pytest
 
 from repro import cli, engine
 from repro.core.fasttrack import FastTrack
-from repro.detectors.registry import (
-    DETECTORS,
-    make_detector,
-    resolve_tool_name,
-)
-from repro.kernels import KERNEL_TOOLS, run_kernel
+from repro.detectors.registry import DETECTORS, resolve_tool_name
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.rules import record_rule_counts
 from repro.predict import (
@@ -42,7 +36,6 @@ from repro.predict import (
     vindicate,
 )
 from repro.trace import events as ev
-from repro.trace.columnar import ColumnarTrace
 from repro.trace.feasibility import check_feasible
 from repro.trace.generators import GeneratorConfig, random_feasible_trace
 from repro.trace.happens_before import HappensBefore
@@ -65,9 +58,8 @@ def warned_vars(detector):
 
 
 class TestWCPDetector:
-    def test_registered_with_kernel(self):
+    def test_registered_as_imprecise(self):
         assert "WCP" in DETECTORS
-        assert "WCP" in KERNEL_TOOLS
         assert not DETECTORS["WCP"].precise
 
     def test_resolve_tool_name_case_insensitive(self):
@@ -307,44 +299,14 @@ class TestVindication:
         assert report.unvindicated == []
 
 
-# -- kernel + engine ----------------------------------------------------------
+# -- engine -------------------------------------------------------------------
 
 
 class TestWCPKernel:
-    def test_candidates_bit_identical(self):
-        """The fused kernel reproduces the exact candidate pairs — the
-        vindicator sees no difference between the two paths."""
-        rng = random.Random(0xF00D)
-        trace = random_feasible_trace(
-            rng,
-            GeneratorConfig(
-                max_events=400,
-                max_threads=6,
-                n_vars=6,
-                n_locks=3,
-                discipline=0.2,
-                p_fork=0.07,
-                p_join=0.06,
-                p_volatile=0.05,
-                seed_threads=2,
-            ),
-        )
-        events = list(trace)
-        generic = WCPDetector().process(events)
-        fused = run_kernel("WCP", ColumnarTrace.from_events(events))
-        assert generic.candidates == fused.candidates
-        assert generic.candidates, "trace should produce candidates"
-
-    def test_kernel_rejects_wrong_detector(self):
-        col = ColumnarTrace.from_events([ev.wr(0, "x")])
-        with pytest.raises(TypeError):
-            run_kernel("WCP", col, detector=make_detector("FastTrack"))
-
     @pytest.mark.parametrize("nshards", SHARD_COUNTS)
     def test_engine_envelope(self, nshards):
         """docs/PREDICT.md's sharding envelope: sharded ⊇ single (equal
-        at one shard), fused == generic at every shard count, and both
-        still ⊇ FastTrack through the same engine."""
+        at one shard), and still ⊇ FastTrack through the same engine."""
         rng = random.Random(77 + nshards)
         trace = random_feasible_trace(
             rng,
@@ -360,20 +322,14 @@ class TestWCPKernel:
             ),
         )
         single = WCPDetector().process(trace)
-        fused = engine.check_events(
-            trace.events, tool="WCP", nshards=nshards, kernel="fused"
+        sharded = engine.check_events(
+            trace.events, tool="WCP", nshards=nshards
         )
-        generic = engine.check_events(
-            trace.events, tool="WCP", nshards=nshards, kernel="generic"
-        )
-        assert [str(w) for w in fused.warnings] == [
-            str(w) for w in generic.warnings
-        ]
         single_vars = {w.var for w in single.warnings}
-        sharded_vars = {w.var for w in fused.warnings}
+        sharded_vars = {w.var for w in sharded.warnings}
         assert single_vars <= sharded_vars
         if nshards == 1:
-            assert [str(w) for w in fused.warnings] == [
+            assert [str(w) for w in sharded.warnings] == [
                 str(w) for w in single.warnings
             ]
         ft = engine.check_events(
@@ -400,22 +356,13 @@ class TestPredictCLI:
         assert cli.main(["check", lock_trace, "--tool", "FastTrack"]) == 0
 
     def test_check_tool_wcp_sharded(self, lock_trace, capsys):
-        for kernel in ("fused", "generic"):
-            assert (
-                cli.main(
-                    [
-                        "check",
-                        lock_trace,
-                        "--tool",
-                        "WCP",
-                        "--shards",
-                        "2",
-                        "--kernel",
-                        kernel,
-                    ]
-                )
-                == 1
-            )
+        assert cli.main(["check", lock_trace, "--tool", "WCP"]) == 1
+        single = capsys.readouterr().out
+        assert (
+            cli.main(["check", lock_trace, "--tool", "WCP", "--shards", "2"])
+            == 1
+        )
+        assert capsys.readouterr().out == single
 
     def test_predict_command(self, lock_trace, capsys):
         assert cli.main(["predict", lock_trace]) == 1

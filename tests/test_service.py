@@ -126,7 +126,6 @@ def test_validation_failures_return_400(client):
     for kwargs in (
         {"tools": ["NoSuchTool"]},
         {"shards": 0},
-        {"kernel": "warp"},
         {"fmt": "csv"},
     ):
         with pytest.raises(ServiceError) as excinfo:
@@ -143,11 +142,42 @@ def test_wrong_typed_event_record_returns_400(client):
         {"op": "wr", "tid": 0, "target": "x", "site": [1]},
         {"op": "wr", "tid": "0", "target": "x"},
         {"op": "wr", "tid": 0, "target": {"a": 1}},
+        {"op": "wr", "tid": -1, "target": "x"},
+        {"op": "wr", "tid": 2**70, "target": "x"},
+        {"op": "fork", "tid": 0, "target": "x"},
+        {"op": "join", "tid": 0, "target": -2},
     ):
         with pytest.raises(ServiceError) as excinfo:
             client.submit(events=[record])
         assert excinfo.value.status == 400, record
         assert "bad event record" in str(excinfo.value)
+
+
+def test_kernel_option_is_ignored(client):
+    """Older clients still send ``kernel``; the daemon ignores it like
+    any unknown option, in the query string and in the envelope."""
+    trace = str(DATA / "predict_lock.trace")
+    text = (DATA / "predict_lock.trace").read_text()
+    plain = client.submit(path=trace, tools=["WCP"])
+    assert "kernel" not in plain
+    client.wait(plain["id"], timeout=60.0, poll=0.05)
+    expected = client.result_bytes(plain["id"])
+    submitted = [
+        client._request(
+            "POST", "/v1/jobs?tool=WCP&kernel=warp", body=text.encode(),
+            headers={"Content-Type": "text/plain"},
+        ),
+        client._request(
+            "POST", "/v1/jobs?tool=WCP",
+            body=json.dumps({"trace": text, "kernel": "warp"}).encode(),
+            headers={"Content-Type": "application/json"},
+        ),
+    ]
+    for status, body, _ in submitted:
+        job = json.loads(body)
+        assert status == 202 and "kernel" not in job, job
+        client.wait(job["id"], timeout=60.0, poll=0.05)
+        assert client.result_bytes(job["id"]) == expected
 
 
 def test_unknown_job_and_unknown_path_return_404(client):
@@ -167,8 +197,7 @@ def test_wrong_method_returns_405_with_allow(client):
 
 def test_result_of_unfinished_job_returns_409(client, daemon):
     record = daemon.service.store.create(
-        {"tools": ["FastTrack"], "shards": 1, "kernel": "auto",
-         "format": "text"}
+        {"tools": ["FastTrack"], "shards": 1, "format": "text"}
     )
     with pytest.raises(ServiceError) as excinfo:
         client.result(record["id"])
@@ -262,6 +291,35 @@ def test_restart_recovers_queued_jobs(tmp_path):
             client.wait(job_id, timeout=60.0, poll=0.05)
             assert client.result_bytes(job_id).decode("utf-8") == expected
         assert "repro_jobs_recovered_total 2" in client.metrics()
+    finally:
+        second.stop(grace=5.0)
+
+
+def test_restart_recovers_a_record_with_a_kernel_field(tmp_path):
+    """Job records written before the ``kernel`` option went carry it,
+    ``"fused"`` even for WCP; the runner no longer reads it, so the
+    recovered job runs and serves ``repro check``'s bytes."""
+    store = str(tmp_path / "store")
+    trace = str(DATA / "predict_lock.trace")
+    first = start_in_thread(ServiceConfig(port=0, workers=0, store_dir=store))
+    try:
+        job_id = Client(port=first.port, timeout=10.0).submit(
+            path=trace, tools=["WCP"]
+        )["id"]
+    finally:
+        first.stop(grace=1.0)
+    record_path = Path(store) / "jobs" / job_id / "job.json"
+    record = json.loads(record_path.read_text())
+    record["kernel"] = "fused"
+    record_path.write_text(json.dumps(record))
+
+    second = start_in_thread(ServiceConfig(port=0, workers=1, store_dir=store))
+    try:
+        client = Client(port=second.port, timeout=10.0)
+        client.wait(job_id, timeout=60.0, poll=0.05)
+        assert client.result_bytes(job_id).decode("utf-8") == _check_json(
+            [trace, "--tool", "WCP"]
+        )
     finally:
         second.stop(grace=5.0)
 

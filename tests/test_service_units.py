@@ -10,7 +10,6 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.service.queue import JobQueue, QueueClosed, QueueFull
 from repro.service.routes import Router
-from repro.service.server import ValidationError, _validate_spec
 from repro.service.store import DuplicateKey, JobStore
 
 
@@ -112,8 +111,7 @@ class TestJobQueue:
             JobQueue(maxsize=0)
 
 
-SPEC = {"tools": ["FastTrack"], "shards": 1, "kernel": "auto",
-        "format": "text"}
+SPEC = {"tools": ["FastTrack"], "shards": 1, "format": "text"}
 
 
 class TestJobStore:
@@ -276,12 +274,3 @@ class TestRouter:
     def test_placeholder_does_not_span_segments(self):
         assert self._router().resolve("GET", "/v1/jobs/a/b/c").route is None
 
-
-class TestValidateSpec:
-    @pytest.mark.parametrize("tool", ["Empty", "Eraser", "BasicVC"])
-    def test_fused_needs_a_tool_with_a_kernel(self, tool):
-        with pytest.raises(ValidationError, match="fused"):
-            _validate_spec([tool], 1, "fused", "text")
-
-    def test_fused_accepts_a_kernelless_companion(self):
-        _validate_spec(["Eraser", "FastTrack"], 2, "fused", "text")
