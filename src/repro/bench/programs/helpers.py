@@ -42,23 +42,3 @@ def local_update(th: ThreadHandle, var, site=None):
     yield th.read(var, site=site)
     yield th.write(var, site=site)
 
-
-def phase_gate(th: ThreadHandle, monitor, state: dict, key: str, target: int):
-    """Block until ``state[key] >= target`` using wait/notify on ``monitor``.
-
-    The classic guarded-wait idiom: the caller re-checks the predicate after
-    every wakeup.  ``state`` is plain Python data owned by the model program;
-    only the monitor operations are visible to the detectors.
-    """
-    yield th.acquire(monitor)
-    while state[key] < target:
-        yield th.wait(monitor)
-    yield th.release(monitor)
-
-
-def phase_advance(th: ThreadHandle, monitor, state: dict, key: str):
-    """Increment ``state[key]`` under ``monitor`` and wake all waiters."""
-    yield th.acquire(monitor)
-    state[key] += 1
-    yield th.notify_all(monitor)
-    yield th.release(monitor)

@@ -446,48 +446,50 @@ def cmd_profile(args) -> int:
         return 2
     keep = args.telemetry is not None
     directory = args.telemetry or tempfile.mkdtemp(prefix="repro-obs-")
-    obs.enable(directory)
-    args.jobs = _resolve_jobs(args)
-    nshards = args.shards
-    if nshards is None and args.jobs == 1:
-        nshards = 1  # exact single-threaded counters (see docstring)
-    tool_names = list(DETECTORS) if args.all_tools else [args.tool]
-    workdir = None
-    if len(tool_names) > 1:
-        workdir = tempfile.mkdtemp(prefix="repro-engine-")
-    reports = {}
     try:
-        with obs.span("check", trace=args.trace, jobs=args.jobs):
-            for position, name in enumerate(tool_names):
-                reports[name] = engine.check_trace_file(
-                    args.trace,
-                    tool=name,
-                    fmt=args.format,
-                    nshards=nshards,
-                    jobs=args.jobs,
-                    workdir=workdir,
-                    resume=position > 0,
-                    tool_kwargs=default_tool_kwargs(name),
-                )
-    except (serialize.TraceParseError, OSError) as error:
-        _print_read_error(args.trace, error)
-        return 2
-    except engine.DrainRequested as error:
-        print(f"drained: {error}", file=sys.stderr)
-        return 3
+        obs.enable(directory)
+        args.jobs = _resolve_jobs(args)
+        nshards = args.shards
+        if nshards is None and args.jobs == 1:
+            nshards = 1  # exact single-threaded counters (see docstring)
+        tool_names = list(DETECTORS) if args.all_tools else [args.tool]
+        workdir = None
+        if len(tool_names) > 1:
+            workdir = tempfile.mkdtemp(prefix="repro-engine-")
+        reports = {}
+        try:
+            with obs.span("check", trace=args.trace, jobs=args.jobs):
+                for position, name in enumerate(tool_names):
+                    reports[name] = engine.check_trace_file(
+                        args.trace,
+                        tool=name,
+                        fmt=args.format,
+                        nshards=nshards,
+                        jobs=args.jobs,
+                        workdir=workdir,
+                        resume=position > 0,
+                        tool_kwargs=default_tool_kwargs(name),
+                    )
+        except (serialize.TraceParseError, OSError) as error:
+            _print_read_error(args.trace, error)
+            return 2
+        except engine.DrainRequested as error:
+            print(f"drained: {error}", file=sys.stderr)
+            return 3
+        finally:
+            obs.disable()
+            if workdir is not None:
+                shutil.rmtree(workdir, ignore_errors=True)
+        # Stitch every span file in the dir — a --jobs N run's workers
+        # wrote their own spans-<pid>.jsonl files next to spans.jsonl.
+        spans = obs.read_all_spans(directory, validate=False)
+        sys.stdout.write(obs.render_profile(args.trace, reports, spans))
+        if keep:
+            print(f"telemetry written to {directory}", file=sys.stderr)
+        return 0
     finally:
-        obs.disable()
-        if workdir is not None:
-            shutil.rmtree(workdir, ignore_errors=True)
-    # Stitch every span file in the dir — a --jobs N run's workers wrote
-    # their own spans-<pid>.jsonl files next to the main spans.jsonl.
-    spans = obs.read_all_spans(directory, validate=False)
-    sys.stdout.write(obs.render_profile(args.trace, reports, spans))
-    if keep:
-        print(f"telemetry written to {directory}", file=sys.stderr)
-    else:
-        shutil.rmtree(directory, ignore_errors=True)
-    return 0
+        if not keep:
+            shutil.rmtree(directory, ignore_errors=True)
 
 
 def cmd_watch(args) -> int:
@@ -506,11 +508,6 @@ def cmd_watch(args) -> int:
         if args.trace == "-":
             lines = stdin_lines()
         else:
-            if not os.path.exists(args.trace):
-                print(
-                    f"error: {args.trace}: no such file", file=sys.stderr
-                )
-                return 2
             # Without --follow the whole point is draining the file, so
             # --from-start is implied; with --follow the default is to
             # start at the current end (new events only).
@@ -549,6 +546,13 @@ def cmd_watch(args) -> int:
                 )
         except (serialize.TraceParseError, OSError) as error:
             monitor.finish()
+            if (
+                reader is not None and reader.from_start
+                and isinstance(error.__context__, UnicodeDecodeError)
+            ):
+                # The reader decodes line by line: name the bad byte by
+                # its offset in the file, as every other verb does.
+                error = serialize.utf8_error_in(args.trace) or error
             _print_read_error(args.trace, error)
             return 2
         print(

@@ -107,8 +107,3 @@ class LockState:
 
     def shadow_words(self) -> int:
         return 2 + len(self.vc)
-
-
-def thread_key(tid: int) -> Hashable:
-    """Identity helper used by detectors that index shadow maps by tid."""
-    return tid

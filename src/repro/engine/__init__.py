@@ -33,7 +33,8 @@ Entry points::
 
 Both return a :class:`~repro.engine.merge.MergedReport` whose warnings are
 bit-identical to ``make_detector(tool).process(trace).warnings`` (the
-differential suite ``tests/test_engine_equivalence.py`` enforces this).
+``events`` and ``shards=N`` cells of the conformance matrix,
+``tests/conformance.py``, enforce this).
 The CLI exposes the engine as ``repro check --jobs N [--shards M]
 [--resume DIR]``; see docs/ENGINE.md for the precision argument and the
 checkpoint layout.
@@ -327,19 +328,13 @@ def check_events(
     resume: bool = False,
     classify: bool = False,
     tool_kwargs: Optional[Dict] = None,
-    executor: Optional[concurrent.futures.Executor] = None,
-    policy: Optional[RetryPolicy] = None,
     transport: str = "mmap",
 ) -> MergedReport:
     """Shard-check an in-memory event sequence (or any one-shot iterable).
 
-    ``executor`` lends the run an already-running pool (the daemon keeps
-    one across jobs to amortize worker startup); without it, ``jobs``
-    decides whether a throwaway pool is spun up.  ``policy`` tunes the
-    supervisor (retries, shard watchdog, run deadline — see
-    :class:`repro.engine.supervise.RetryPolicy`).  ``transport`` accepts
-    only ``'mmap'``, the one shard transport; the cold-run benchmark
-    (``perfbench/``) still passes it.
+    ``jobs`` decides whether a throwaway pool is spun up.  ``transport``
+    accepts only ``'mmap'``, the one shard transport; the cold-run
+    benchmark (``perfbench/``) still passes it.
     """
     require_mmap_transport(transport)
     return _run(
@@ -351,8 +346,6 @@ def check_events(
         resume,
         classify,
         tool_kwargs,
-        executor=executor,
-        policy=policy,
     )
 
 
@@ -375,7 +368,11 @@ def check_trace_file(
     The file is parsed by :func:`read_columns` straight into columns, so
     no :class:`~repro.trace.events.Event` is built; a resumed run whose
     partition already exists does not read it at all.  ``executor``
-    lends the run a persistent pool (see :func:`check_events`).
+    lends the run an already-running pool (the daemon keeps one across
+    jobs to amortize worker startup); without it, ``jobs`` decides
+    whether a throwaway pool is spun up.  ``policy`` tunes the
+    supervisor (retry backoff, shard watchdog, run deadline — see
+    :class:`repro.engine.supervise.RetryPolicy`).
     """
     return _run(
         lambda: read_columns(path, fmt),

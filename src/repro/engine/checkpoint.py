@@ -42,7 +42,7 @@ import os
 import pickle
 import re
 import tempfile
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro import faults
 from repro.engine.transport import shard_file_size
@@ -70,12 +70,28 @@ def _tool_dirname(tool: str) -> str:
     return re.sub(r"[^A-Za-z0-9.-]", "_", tool)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def write_durably(
+    path: str, data: Union[str, bytes], point: Optional[str] = None,
+    **context,
+) -> None:
+    """Write ``data`` (text as UTF-8, or bytes) to ``path`` atomically
+    and durably: temp file + ``fsync`` + ``os.replace``.
+
+    A ``torn`` fault at ``point`` writes only a prefix — a torn write
+    that "succeeded" — which the validating reader must refuse.
+    """
+    if point is not None and faults.active():
+        spec = faults.fire(point, **context)
+        if spec is not None and spec.action == "torn":
+            data = data[: max(1, len(data) // 2)]
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as stream:
-            stream.write(text)
+        if isinstance(data, bytes):
+            stream = os.fdopen(fd, "wb")
+        else:
+            stream = os.fdopen(fd, "w", encoding="utf-8")
+        with stream:
+            stream.write(data)
             stream.flush()
             os.fsync(stream.fileno())
         os.replace(tmp, path)
@@ -83,17 +99,6 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _write_checkpoint(path: str, text: str, point: str, **context) -> None:
-    """Atomically write a checkpoint.  A ``torn`` fault at ``point``
-    writes only a prefix — a torn write that "succeeded" — which the
-    validating reader must refuse."""
-    if faults.active():
-        spec = faults.fire(point, **context)
-        if spec is not None and spec.action == "torn":
-            text = text[: max(1, len(text) // 2)]
-    _atomic_write(path, text)
 
 
 class Workdir:
@@ -113,7 +118,7 @@ class Workdir:
     def write_meta(self, meta: Dict) -> None:
         meta = dict(meta)
         meta["format_version"] = FORMAT_VERSION
-        _atomic_write(self.meta_path, json.dumps(meta, indent=2) + "\n")
+        write_durably(self.meta_path, json.dumps(meta, indent=2) + "\n")
 
     def read_meta(self) -> Optional[Dict]:
         """The partition metadata, or ``None`` if no complete partition
@@ -180,20 +185,9 @@ class Workdir:
         self, targets: List[Hashable], sites: List[Hashable]
     ) -> None:
         """Persist the intern tables every shard's columns index into."""
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as stream:
-                pickle.dump(
-                    (targets, sites), stream,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp, self.intern_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_durably(self.intern_path, pickle.dumps(
+            (targets, sites), protocol=pickle.HIGHEST_PROTOCOL
+        ))
 
     def read_intern(self) -> Tuple[List[Hashable], List[Hashable]]:
         with open(self.intern_path, "rb") as stream:
@@ -306,7 +300,7 @@ class Workdir:
     def write_result(self, tool: str, shard: int, payload: Dict) -> str:
         path = self.result_path(tool, shard)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        _write_checkpoint(
+        write_durably(
             path, json.dumps(payload) + "\n", "checkpoint.write",
             tool=tool, shard=shard,
         )
@@ -352,7 +346,7 @@ class Workdir:
         checkpoint = {
             "shard": shard, "generation": generation, "counts": counts,
         }
-        _write_checkpoint(
+        write_durably(
             path, json.dumps(checkpoint) + "\n", "classifier.write",
             shard=shard,
         )

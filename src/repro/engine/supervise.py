@@ -6,7 +6,7 @@ shard, one OOM-killed pool process, or one hung worker failed the whole
 that keeps the run alive under partial failure:
 
 * **Bounded retry with jittered backoff.**  A failed shard attempt is
-  retried up to :attr:`RetryPolicy.max_attempts` times; the backoff
+  retried up to :data:`MAX_ATTEMPTS` times; the backoff
   delay is deterministic (seeded per ``(shard, attempt)``) so chaos runs
   replay identically.
 * **Pool self-healing.**  A dead worker breaks its
@@ -70,32 +70,33 @@ class QuarantineExhausted(RuntimeError):
     """Every shard was quarantined — there is no partial result to report."""
 
 
+#: Attempts a shard gets before it is quarantined.
+MAX_ATTEMPTS = 3
+#: Times an owned pool is rebuilt before the run falls back to the
+#: in-process sequential loop.
+MAX_POOL_REBUILDS = 3
+
+
 class RetryPolicy:
     """Knobs for the supervisor; the defaults are the CLI's defaults."""
 
     __slots__ = (
-        "max_attempts", "backoff_base_s", "backoff_cap_s",
-        "shard_timeout_s", "deadline_s", "max_pool_rebuilds", "seed",
+        "backoff_base_s", "backoff_cap_s", "shard_timeout_s", "deadline_s",
+        "seed",
     )
 
     def __init__(
         self,
-        max_attempts: int = 3,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
         shard_timeout_s: Optional[float] = None,
         deadline_s: Optional[float] = None,
-        max_pool_rebuilds: int = 3,
         seed: int = 0,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self.max_attempts = max_attempts
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.shard_timeout_s = shard_timeout_s
         self.deadline_s = deadline_s
-        self.max_pool_rebuilds = max_pool_rebuilds
         self.seed = seed
 
 
@@ -212,7 +213,7 @@ class _Supervisor:
                        delayed: List) -> None:
         """A failed attempt: schedule a retry or quarantine the shard."""
         attempts_used = attempt + 1
-        if attempts_used >= self.policy.max_attempts:
+        if attempts_used >= MAX_ATTEMPTS:
             self.quarantine(shard, attempts_used, error)
             return
         obs.record_degraded(
@@ -247,7 +248,7 @@ class _Supervisor:
                     raise
                 except Exception as error:
                     attempt += 1
-                    if attempt >= self.policy.max_attempts:
+                    if attempt >= MAX_ATTEMPTS:
                         self.quarantine(shard, attempt, error)
                         break
                     obs.record_degraded(
@@ -366,7 +367,7 @@ class _Supervisor:
                     if owns_pool:
                         _kill_pool(pool)
                         rebuilds += 1
-                        if rebuilds > self.policy.max_pool_rebuilds:
+                        if rebuilds > MAX_POOL_REBUILDS:
                             self._fall_back_sequential(
                                 waiting, delayed, "pool kept breaking"
                             )

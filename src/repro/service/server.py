@@ -74,6 +74,8 @@ _CONTENT_TYPE_FORMATS = {
 }
 
 _SPOOL_CHUNK = 64 * 1024
+#: Seconds a drain waits for runner threads before giving up.
+DRAIN_GRACE_S = 30.0
 
 
 @dataclass
@@ -89,8 +91,6 @@ class ServiceConfig:
     store_dir: str = ""
     #: Seconds advertised in 429 Retry-After responses.
     retry_after: int = 5
-    #: Seconds the drain waits for runner threads before giving up.
-    drain_grace: float = 30.0
     #: Default shard count for jobs that do not request one.  One shard
     #: keeps every cost counter bit-identical to a single-threaded
     #: ``repro check --json`` run (sharded runs duplicate sync-side VC
@@ -337,7 +337,7 @@ class RaceService:
                 except (OSError, ProcessLookupError):
                     pass
         deadline = time.monotonic() + (
-            self.config.drain_grace if grace is None else grace
+            DRAIN_GRACE_S if grace is None else grace
         )
         for thread in self._threads:
             remaining = deadline - time.monotonic()

@@ -46,40 +46,22 @@ import hashlib
 import json
 import os
 import shutil
-import tempfile
 import threading
 import time
 from typing import Dict, List, Optional, Set
 
-from repro import faults
+from repro.engine.checkpoint import write_durably
 
 ACTIVE_STATES = ("queued", "running")
 TERMINAL_STATES = ("done", "failed")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    if faults.active():
-        spec = faults.fire(
-            "store.write",
-            file=os.path.basename(path),
-            job=os.path.basename(os.path.dirname(path)),
-        )
-        if spec is not None and spec.action == "torn":
-            # Simulate a torn write that "succeeded": only a prefix of
-            # the record reached the disk.  Readers must treat the file
-            # as absent and the scrub must quarantine the job.
-            text = text[: max(1, len(text) // 2)]
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as stream:
-            stream.write(text)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_record(path: str, text: str) -> None:
+    write_durably(
+        path, text, "store.write",
+        file=os.path.basename(path),
+        job=os.path.basename(os.path.dirname(path)),
+    )
 
 
 class DuplicateKey(Exception):
@@ -220,7 +202,7 @@ class JobStore:
                 if existing is not None:
                     raise DuplicateKey(existing)
             os.makedirs(self.job_dir(job_id))
-            _atomic_write(
+            _write_record(
                 self._job_json(job_id), json.dumps(record, indent=2) + "\n"
             )
             if key:
@@ -241,7 +223,7 @@ class JobStore:
             if record is None:
                 return None
             record.update(fields)
-            _atomic_write(
+            _write_record(
                 self._job_json(job_id), json.dumps(record, indent=2) + "\n"
             )
             return record
@@ -257,7 +239,7 @@ class JobStore:
     # -- results -------------------------------------------------------------
 
     def write_result(self, job_id: str, document: Dict) -> None:
-        _atomic_write(
+        _write_record(
             self.result_path(job_id),
             json.dumps(document, sort_keys=True, indent=2) + "\n",
         )

@@ -1,36 +1,14 @@
-"""Shared fixtures and helpers for the test suite."""
-
-from __future__ import annotations
-
-import random
+"""Shared fixtures."""
 
 import pytest
 
-from repro.trace.generators import GeneratorConfig, random_feasible_trace
-
-
-def make_suite(seed: int, count: int, **config_kwargs):
-    """A reproducible batch of feasible traces spanning sharing idioms."""
-    rng = random.Random(seed)
-    traces = []
-    for index in range(count):
-        config = GeneratorConfig(
-            discipline=[0.0, 0.3, 0.6, 0.9, 1.0][index % 5],
-            max_events=40 + (index % 4) * 25,
-            max_threads=2 + index % 4,
-            **config_kwargs,
-        )
-        traces.append(random_feasible_trace(rng, config))
-    return traces
-
 
 @pytest.fixture(scope="session")
-def trace_suite():
-    """Sixty mixed-discipline feasible traces used by equivalence tests."""
-    return make_suite(seed=20090615, count=60)
+def matrix(tmp_path_factory):
+    """The conformance matrix (tests/conformance.py): each (row, column)
+    runs once per session, whichever test asks for it first."""
+    from tests.conformance import Matrix
 
-
-@pytest.fixture(scope="session")
-def racy_suite():
-    """Traces biased toward undisciplined accesses (most contain races)."""
-    return make_suite(seed=424242, count=30)
+    table = Matrix(tmp_path_factory.mktemp("conformance"))
+    yield table
+    table.close()

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import engine
 from repro.detectors import (
     default_tool_kwargs,
     make_detector,
@@ -242,27 +241,12 @@ class TestGoldenCorpus:
 
 class TestSharding:
     @pytest.mark.parametrize("nshards", (1, 2, 4))
-    def test_sharded_identical_to_single_threaded(self, nshards):
-        kwargs = default_tool_kwargs("AsyncFinish")
-        for trace in (
-            task_pool_trace(racy=True, seed=3),
-            task_pool_trace(racy=False, seed=3),
-            async_pipeline_trace(racy=True, seed=5),
-            async_pipeline_trace(racy=False, seed=5),
-        ):
-            single = make_detector("AsyncFinish", **kwargs).process(trace)
-            report = engine.check_events(
-                trace.events,
-                tool="AsyncFinish",
-                nshards=nshards,
-                tool_kwargs=kwargs,
-            )
-            assert report.warnings == single.warnings
-            assert [str(w) for w in report.warnings] == [
-                str(w) for w in single.warnings
-            ]
-            assert report.suppressed_warnings == single.suppressed_warnings
-            assert report.events == len(trace)
+    def test_sharded_identical_to_single_threaded(self, matrix, nshards):
+        matrix.check(
+            ["pool-racy-3", "pool-safe-3", "pipeline-racy-5",
+             "pipeline-safe-5"],
+            ["object", "events", f"shards={nshards}"], ["AsyncFinish"],
+        )
 
 
 class TestCompaction:

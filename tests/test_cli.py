@@ -18,6 +18,7 @@ from repro.trace import serialize
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.serialize import dumps, dumps_jsonl, loads
 from repro.trace.trace import Trace
+from tests.conformance import OUT_OF_RANGE, ROT, TOOLS, WRONG_TYPED
 
 DATA = Path(__file__).parent / "data"
 MANIFEST = json.loads((DATA / "manifest.json").read_text())
@@ -119,27 +120,14 @@ class TestCheckSharded:
     )
     @pytest.mark.parametrize("name", sorted(MANIFEST))
     def test_sharded_warnings_identical_to_in_process(
-        self, name, tools, fmt, tmp_path, capsys
+        self, matrix, name, tools, fmt
     ):
-        argv = ["check", _golden(tmp_path, name, fmt), "--format", fmt, *tools]
-        sharding = ["--jobs", "1", "--shards", "2"]
-        code = main(argv)
-        text = capsys.readouterr().out
-        assert main([*argv, *sharding]) == code
-        assert capsys.readouterr().out == text
-        assert main([*argv, "--json"]) == code
-        single = json.loads(capsys.readouterr().out)
-        assert main([*argv, "--json", *sharding]) == code
-        sharded = json.loads(capsys.readouterr().out)
-        if not tools:
-            single = {"results": {single["tool"]: single}}
-            sharded = {"results": {sharded["tool"]: sharded}}
-        assert set(single["results"]) == set(sharded["results"])
-        # Cost stats are per-shard sums, so only the verdicts compare.
-        for tool, document in single["results"].items():
-            other = sharded["results"][tool]
-            assert document["warnings"] == other["warnings"], tool
-            assert document["classifier"] == other["classifier"], tool
+        """The matrix's text and JSON cells, in process and at 2 shards;
+        ``check`` without ``--tool`` runs FastTrack."""
+        columns = ["text", "text-2", "shards=2"]
+        if fmt == "jsonl":
+            columns.append("jsonl")
+        matrix.check([name], columns, TOOLS if tools else ["FastTrack"])
 
     def test_sharded_clean_trace_exits_zero(self, clean_file):
         assert main(["check", clean_file, "--shards", "3"]) == 0
@@ -358,61 +346,8 @@ READERS = {
     "predict": ["predict"],
     "profile": ["profile"],
 }
-
-#: A non-UTF-8 byte deep in the file, past the decoder's read-ahead
-#: chunk: (bytes, its line, its offset from the start of the file).
-ROT = {
-    "text": (b"wr(0, x)\n" * 5000 + b"wr(0, \xffx)\nwr(1, x)\n", 5001, 45006),
-    "jsonl": (
-        b'{"op":"wr","tid":0,"target":"x"}\n' * 3000
-        + b'{"op":"wr","tid":0,"target":"\xff"}\n',
-        3001, 99029,
-    ),
-}
-
-
-#: JSONL records whose fields have the wrong JSON type.
-WRONG_TYPED = {
-    "site-list": '{"op": "wr", "tid": 0, "target": "x", "site": [1]}',
-    "target-object": '{"op": "wr", "tid": 0, "target": {"a": 1}}',
-    "target-nested-list": '{"op": "wr", "tid": 0, "target": [["a"], 1]}',
-    "tid-list": '{"op": "wr", "tid": [0], "target": "x"}',
-    "tid-string": '{"op": "wr", "tid": "0", "target": "x"}',
-    "tid-float": '{"op": "wr", "tid": 1.5, "target": "x"}',
-}
-
-
-#: One-record traces naming a thread id outside 0..MAX_TID, or a fork or
-#: join target that is not an integer: (format, record).
-OUT_OF_RANGE = {
-    "text-negative-tid": ("text", "wr(-1, x)"),
-    "text-negative-acquirer": ("text", "acq(-3, m)"),
-    "text-negative-fork-target": ("text", "fork(0, -1)"),
-    "text-negative-join-target": ("text", "join(0, -2)"),
-    "text-huge-tid": ("text", "wr(99999999999999999999999, x)"),
-    "text-int64-max-tid": ("text", "wr(9223372036854775807, x)"),
-    "text-tid-past-bound": ("text", f"wr({serialize.MAX_TID + 1}, x)"),
-    "text-negative-barrier-member": ("text", "barrier_rel(0, -3)"),
-    "jsonl-negative-tid": ("jsonl", '{"op": "wr", "tid": -2, "target": "x"}'),
-    "jsonl-negative-fork-target": (
-        "jsonl", '{"op": "fork", "tid": 0, "target": -3}'
-    ),
-    "jsonl-string-fork-target": (
-        "jsonl", '{"op": "fork", "tid": 0, "target": "x"}'
-    ),
-    "jsonl-float-join-target": (
-        "jsonl", '{"op": "join", "tid": 0, "target": 1.5}'
-    ),
-    "jsonl-huge-tid": (
-        "jsonl", '{"op": "wr", "tid": %d, "target": "x"}' % 2**70
-    ),
-    "jsonl-int64-max-tid": (
-        "jsonl", '{"op": "wr", "tid": %d, "target": "x"}' % (2**63 - 1)
-    ),
-    "jsonl-negative-barrier-member": (
-        "jsonl", '{"op": "barrier_rel", "target": [0, -4]}'
-    ),
-}
+#: The conformance matrix's column for each verb it runs.
+VERB_COLUMNS = {"check": "check", "check-shards": "shards=2"}
 
 
 class TestUnreadableTrace:
@@ -421,28 +356,13 @@ class TestUnreadableTrace:
 
     @pytest.mark.parametrize("verb", ["check", "check-shards"])
     @pytest.mark.parametrize("form", sorted(WRONG_TYPED))
-    def test_wrong_typed_jsonl_field_exits_2(
-        self, form, verb, tmp_path, capsys
-    ):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(WRONG_TYPED[form] + "\n")
-        assert main([*READERS[verb], str(path), "--format", "jsonl"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: line 1: bad event record ")
-        assert err.endswith(f"  offending line: {WRONG_TYPED[form]}\n")
+    def test_wrong_typed_jsonl_field_exits_2(self, matrix, form, verb):
+        matrix.check([f"typed-{form}"], [VERB_COLUMNS[verb]])
 
     @pytest.mark.parametrize("verb", ["check", "check-shards"])
     @pytest.mark.parametrize("form", sorted(OUT_OF_RANGE))
-    def test_out_of_range_thread_id_exits_2(
-        self, form, verb, tmp_path, capsys
-    ):
-        fmt, record = OUT_OF_RANGE[form]
-        path = tmp_path / f"bad.{fmt}"
-        path.write_text(record + "\n")
-        assert main([*READERS[verb], str(path), "--format", fmt]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: line 1: ")
-        assert err.endswith(f"  offending line: {record}\n")
+    def test_out_of_range_thread_id_exits_2(self, matrix, form, verb):
+        matrix.check([f"range-{form}"], [VERB_COLUMNS[verb]])
 
     @pytest.mark.parametrize("verb", ["check", "check-shards"])
     @pytest.mark.parametrize("fmt", ["text", "jsonl"])

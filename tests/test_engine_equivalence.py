@@ -3,11 +3,13 @@
 The engine's whole claim (docs/ENGINE.md) is that sharding by variable with
 broadcast synchronization loses nothing: for every tool, every shard count,
 and every trace, the merged report must be *warning-for-warning identical*
-to ``make_detector(tool).process(trace)`` — same variables, same kinds,
-same ``event_index`` positions, same ``prior`` descriptions, same
-suppressed-warning count.  These tests enforce that over seeded random
-feasible traces spanning the paper's sharing idioms (disciplined,
-semi-disciplined, and chaotic), at 1, 2, and 4 shards.
+to ``make_detector(tool).process(trace)``.  The conformance matrix
+(tests/conformance.py) checks that over seeded random feasible traces
+spanning the paper's sharing idioms (disciplined, semi-disciplined, and
+chaotic): its ``object``, ``events`` (``engine.check_events``) and
+``shards=N`` cells.  The tests below name those cells, and check the
+engine's own mechanisms: worker pools, cross-shard site dedup, resume
+and format versions.
 """
 
 import json
@@ -19,42 +21,15 @@ from pathlib import Path
 import pytest
 
 from repro import cli, engine
-from repro.detectors import DETECTORS, make_detector
+from repro.detectors import make_detector
 from repro.engine.checkpoint import CheckpointError, Workdir
-from repro.report import detector_result, dumps_result
+from repro.report import dumps_result
 from repro.trace.generators import GeneratorConfig, random_feasible_trace
+from tests.conformance import GENERATED, MIXED
 
-#: The tools the issue calls out, spanning precise VC tools and Eraser.
+#: Two precise vector-clock tools and Eraser.
 TOOLS = ("FastTrack", "DJIT+", "Eraser")
 SHARD_COUNTS = (1, 2, 4)
-
-#: From fully lock-disciplined (race-free) to chaotic (many races), with
-#: fork/join, barriers, and volatiles in the mix.
-CONFIGS = (
-    GeneratorConfig(
-        max_events=350, max_threads=4, n_vars=8, n_locks=3, discipline=1.0
-    ),
-    GeneratorConfig(
-        max_events=350,
-        max_threads=5,
-        n_vars=10,
-        n_locks=2,
-        discipline=0.5,
-        p_fork=0.1,
-        p_join=0.08,
-        p_volatile=0.08,
-    ),
-    GeneratorConfig(
-        max_events=350,
-        max_threads=6,
-        n_vars=6,
-        n_locks=2,
-        discipline=0.1,
-        p_fork=0.12,
-        p_barrier=0.05,
-    ),
-)
-SEEDS = (0, 1, 2, 3)
 
 
 def _tool_kwargs(tool):
@@ -62,62 +37,17 @@ def _tool_kwargs(tool):
     return {"track_sites": True} if tool == "FastTrack" else {}
 
 
-def _traces():
-    for config_index, config in enumerate(CONFIGS):
-        for seed in SEEDS:
-            rng = random.Random(1000 * config_index + seed)
-            yield random_feasible_trace(rng, config)
-
-
 @pytest.mark.parametrize("nshards", SHARD_COUNTS)
 @pytest.mark.parametrize("tool", TOOLS)
-def test_sharded_identical_to_single_threaded(tool, nshards):
-    some_warnings = 0
-    for trace in _traces():
-        kwargs = _tool_kwargs(tool)
-        single = make_detector(tool, **kwargs).process(trace)
-        report = engine.check_events(
-            trace.events, tool=tool, nshards=nshards, tool_kwargs=kwargs
-        )
-        assert report.warnings == single.warnings
-        assert [str(w) for w in report.warnings] == [
-            str(w) for w in single.warnings
-        ]
-        assert report.suppressed_warnings == single.suppressed_warnings
-        assert report.events == len(trace)
-        assert report.stats.reads == single.stats.reads
-        assert report.stats.writes == single.stats.writes
-        assert report.stats.syncs == single.stats.syncs
-        some_warnings += report.warning_count
+def test_sharded_identical_to_single_threaded(matrix, tool, nshards):
+    matrix.check(MIXED, ["object", "events", f"shards={nshards}"], [tool])
     # The chaotic configurations must actually exercise the merge path.
-    assert some_warnings > 0
+    assert sum(matrix.document(row, "check", tool)["warning_count"]
+               for row in MIXED) > 0
 
 
-def test_every_registered_tool_survives_sharding():
-    rng = random.Random(99)
-    trace = random_feasible_trace(
-        rng,
-        GeneratorConfig(
-            max_events=500, max_threads=5, n_vars=12, discipline=0.3
-        ),
-    )
-    for tool in DETECTORS:
-        kwargs = _tool_kwargs(tool)
-        single = make_detector(tool, **kwargs).process(trace)
-        report = engine.check_events(
-            trace.events, tool=tool, nshards=3, tool_kwargs=kwargs
-        )
-        if tool == "WCP":
-            # Sharding envelope (docs/PREDICT.md): per-variable routing
-            # hides *other* shards' conflict joins, so sharded WCP warns
-            # on a superset of the single-threaded run's variables — it
-            # never loses a warning.
-            assert {w.var for w in single.warnings} <= {
-                w.var for w in report.warnings
-            }, tool
-            continue
-        assert report.warnings == single.warnings, tool
-        assert report.suppressed_warnings == single.suppressed_warnings, tool
+def test_every_registered_tool_survives_sharding(matrix):
+    matrix.check(["seed-99"], ["object", "events"])
 
 
 def test_multiprocessing_workers_identical(tmp_path):
@@ -179,56 +109,13 @@ def test_cross_shard_site_dedup_matches_single_threaded():
     assert report.suppressed_warnings == single.suppressed_warnings == 1
 
 
-# -- every tool, every shard count -------------------------------------------
-
-
-def _reference_trace():
-    rng = random.Random(4242)
-    return random_feasible_trace(
-        rng,
-        GeneratorConfig(
-            max_events=600,
-            max_threads=5,
-            n_vars=14,
-            n_locks=2,
-            discipline=0.3,
-            p_fork=0.1,
-            p_volatile=0.05,
-        ),
-    )
-
-
 @pytest.mark.parametrize("nshards", SHARD_COUNTS)
-def test_all_tools_bit_identical_across_shard_counts(tmp_path, nshards):
-    """For every registered tool, the warnings of the canonical
-    ``repro.result/1`` document are the single-threaded run's, byte for
-    byte, at every shard count.  (Cost counters are per-shard sums, so
-    the rest of the document may differ; WCP's sharding envelope —
-    docs/PREDICT.md — warns on a superset of variables.)"""
-    trace = _reference_trace()
-    for tool in DETECTORS:
-        kwargs = _tool_kwargs(tool)
-        single = detector_result(make_detector(tool, **kwargs).process(trace))
-        report = engine.check_events(
-            trace.events,
-            tool=tool,
-            nshards=nshards,
-            workdir=str(tmp_path / f"{tool}-{nshards}"),
-            tool_kwargs=kwargs,
-        ).to_json()
-        if tool == "WCP" and nshards > 1:
-            assert {w["var"] for w in single["warnings"]} <= {
-                w["var"] for w in report["warnings"]
-            }
-            continue
-        for key in ("warnings", "warning_count", "suppressed_warnings"):
-            assert json.dumps(report[key]) == json.dumps(single[key]), (
-                tool, nshards, key,
-            )
+def test_all_tools_bit_identical_across_shard_counts(matrix, nshards):
+    matrix.check(["reference"], ["object", "events", f"shards={nshards}"])
 
 
 def test_transport_keyword_accepts_only_mmap(tmp_path):
-    trace = _reference_trace()
+    trace = GENERATED["reference"]()
     with pytest.raises(ValueError, match="mmap"):
         engine.check_events(trace.events, nshards=1, transport="shm")
     with pytest.raises(ValueError, match="mmap"):
@@ -240,7 +127,7 @@ def test_transport_keyword_accepts_only_mmap(tmp_path):
 def test_crash_resume_over_v3_partition(tmp_path):
     """A resumed run over a v3 partition reuses checkpoints: delete one
     shard's result, resume, and the bytes match the uninterrupted run."""
-    trace = _reference_trace()
+    trace = GENERATED["reference"]()
     workdir = tmp_path / "resume"
     kwargs = _tool_kwargs("FastTrack")
 
@@ -269,7 +156,7 @@ def test_crash_resume_over_v3_partition(tmp_path):
 def test_v2_workdir_rejected_with_version_error(tmp_path):
     """Resuming against a pickle-era (v2) partition must fail fast and
     name both versions — never silently re-partition over it."""
-    trace = _reference_trace()
+    trace = GENERATED["reference"]()
     workdir = tmp_path / "v2"
     workdir.mkdir()
     (workdir / "meta.json").write_text(json.dumps({

@@ -27,6 +27,7 @@ import pytest
 from repro import cli, faults
 from repro.engine.checkpoint import Workdir
 from repro.engine.supervise import RetryPolicy, backoff_delay
+from repro.kernels import KERNEL_TOOLS
 
 DATA = Path(__file__).parent / "data"
 TRACE = str(DATA / "tsp_small.trace")
@@ -179,14 +180,8 @@ def test_backoff_is_seeded_and_capped():
 # -- the differential invariant: heal to byte-identical -----------------------
 
 
-def test_transient_worker_crash_heals_bit_identical(tmp_path, baseline):
-    plan = _plan_file(tmp_path, [
-        {"point": "worker.crash", "match": {"shard": 1, "attempt": 0}},
-    ])
-    code, output = _check(
-        [TRACE, "--shards", "4", "--json", "--faults", plan]
-    )
-    assert (code, output) == baseline
+def test_transient_worker_crash_heals_bit_identical(matrix):
+    matrix.check(["tsp_small"], ["healed-crash"])
 
 
 def test_worker_crash_all_first_attempts_heals(tmp_path, baseline):
@@ -251,17 +246,11 @@ def test_torn_checkpoint_is_quarantined_and_recomputed(tmp_path, baseline):
     assert (code, output) == baseline
 
 
-def test_kernel_fault_falls_back_to_generic_path(tmp_path, baseline):
+def test_kernel_fault_falls_back_to_generic_path(matrix):
     # The fused kernel blows up on every shard; each falls back to the
     # generic object path, which is bit-identical by the equivalence
     # contract.
-    plan = _plan_file(tmp_path, [
-        {"point": "kernel.run", "times": 99},
-    ])
-    code, output = _check(
-        [TRACE, "--shards", "4", "--json", "--faults", plan]
-    )
-    assert (code, output) == baseline
+    matrix.check(["tsp_small"], ["kernel-fault"], KERNEL_TOOLS)
 
 
 def test_kernel_fault_falls_back_in_process(tmp_path, capsys):

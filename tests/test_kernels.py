@@ -6,9 +6,10 @@ object path over the columns otherwise.  The kernels' contract
 *same* warnings (same order, same ``event_index``, same ``prior`` text),
 the same ``CostStats`` and rule counters, the same suppressed-warning
 count, and the same shadow state as ``detector.process(events)``.  These
-tests enforce that over the golden corpus, hand-built edge traces, and
-through the sharded engine at 1, 2, and 4 shards, where a kernel fault
-on every shard must fall back to the object path with the same result.
+tests enforce that over the golden corpus and hand-built edge traces.
+Through the sharded engine at 1, 2, and 4 shards, where a kernel fault
+on every shard must fall back to the object path with the same result,
+they name the conformance matrix's cells (tests/conformance.py).
 """
 
 import json
@@ -17,10 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro import engine, faults
 from repro.cli import main
 from repro.detectors.registry import make_detector
-from repro.engine.checkpoint import Workdir
 from repro.engine.worker import analyze_columns
 from repro.kernels import KERNEL_TOOLS, has_kernel, run_kernel
 from repro.trace import events as ev
@@ -163,85 +162,17 @@ def test_has_kernel():
     assert not has_kernel("Empty")
 
 
-@pytest.fixture
-def clean_faults():
-    faults.clear()
-    yield
-    faults.clear()
-
-
 @pytest.mark.parametrize("nshards", SHARD_COUNTS)
 @pytest.mark.parametrize("tool", TOOLS)
-def test_engine_fused_identical_to_generic(tool, nshards, tmp_path,
-                                           clean_faults):
+def test_engine_fused_identical_to_generic(matrix, tool, nshards):
     """The engine's result with each tool's own loop equals the
-    single-threaded object path at 1/2/4 shards; for a tool with a
-    kernel, so does the result when the kernel fails on every shard and
-    the object path redoes it."""
-    rng = random.Random(500 + nshards)
-    trace = random_feasible_trace(
-        rng,
-        GeneratorConfig(
-            max_events=400,
-            max_threads=5,
-            n_vars=10,
-            n_locks=2,
-            discipline=0.3,
-            p_fork=0.08,
-            p_join=0.06,
-            p_volatile=0.05,
-        ),
-    )
-    single = make_detector(tool).process(trace)
-    # Without a kernel there is nothing to fault: one run is the test.
-    modes = ("own", "fallback") if has_kernel(tool) else ("own",)
-    reports, loops = {}, {}
-    for mode in modes:
-        if mode == "fallback":
-            faults.install(faults.parse_plan(json.dumps({
-                "schema": "repro.faults/1",
-                "faults": [{"point": "kernel.run", "times": 99}],
-            })))
-        root = str(tmp_path / mode)
-        reports[mode] = engine.check_events(
-            trace.events, tool=tool, nshards=nshards, workdir=root
-        )
-        loops[mode] = {
-            Workdir(root).read_result(tool, shard)["kernel"]
-            for shard in range(nshards)
-        }
-    expected = {"own": {"fused" if has_kernel(tool) else "generic"}}
+    single-threaded object path; for a tool with a kernel, so does the
+    result when the kernel fails on every shard and the object path
+    redoes it (the matrix's ``kernel-fault`` cells)."""
+    columns = ["object", "events", f"shards={nshards}"]
     if has_kernel(tool):
-        expected["fallback"] = {"generic"}
-    assert loops == expected
-    for mode, report in reports.items():
-        context = (tool, nshards, mode)
-        if tool == "WCP" and nshards > 1:
-            # WCP's sharding envelope (docs/PREDICT.md): per-variable
-            # routing hides cross-variable conflict joins, so a sharded
-            # run warns on a superset of the single-threaded variables.
-            assert {w.var for w in single.warnings} <= {
-                w.var for w in report.warnings
-            }, context
-        else:
-            assert [str(w) for w in report.warnings] == [
-                str(w) for w in single.warnings
-            ], context
-            assert report.suppressed_warnings == single.suppressed_warnings, (
-                context
-            )
-        assert report.stats.reads == single.stats.reads, context
-        assert report.stats.writes == single.stats.writes, context
-    if not has_kernel(tool):
-        return
-    own, fallback = reports["own"], reports["fallback"]
-    assert [str(w) for w in fallback.warnings] == [
-        str(w) for w in own.warnings
-    ], (tool, nshards)
-    assert fallback.suppressed_warnings == own.suppressed_warnings, (
-        tool, nshards,
-    )
-    assert fallback.stats.summary() == own.stats.summary(), (tool, nshards)
+        columns.append("kernel-fault")
+    matrix.check([f"kernel-{500 + nshards}"], columns, [tool])
 
 
 class TestKernelCLI:

@@ -14,15 +14,13 @@ Covers the ISSUE acceptance matrix for ``repro.predict``:
   what the naive quadratic enumeration did.
 """
 
-import io
 import json
 import random
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from repro import cli, engine
+from repro import cli
 from repro.core.fasttrack import FastTrack
 from repro.detectors.registry import DETECTORS, resolve_tool_name
 from repro.obs.metrics import MetricsRegistry
@@ -304,41 +302,18 @@ class TestVindication:
 
 class TestWCPKernel:
     @pytest.mark.parametrize("nshards", SHARD_COUNTS)
-    def test_engine_envelope(self, nshards):
-        """docs/PREDICT.md's sharding envelope: sharded ⊇ single (equal
-        at one shard), and still ⊇ FastTrack through the same engine."""
-        rng = random.Random(77 + nshards)
-        trace = random_feasible_trace(
-            rng,
-            GeneratorConfig(
-                max_events=500,
-                max_threads=5,
-                n_vars=10,
-                n_locks=3,
-                discipline=0.3,
-                p_fork=0.06,
-                p_join=0.05,
-                seed_threads=2,
-            ),
-        )
-        single = WCPDetector().process(trace)
-        sharded = engine.check_events(
-            trace.events, tool="WCP", nshards=nshards
-        )
-        single_vars = {w.var for w in single.warnings}
-        sharded_vars = {w.var for w in sharded.warnings}
-        assert single_vars <= sharded_vars
-        if nshards == 1:
-            assert [str(w) for w in sharded.warnings] == [
-                str(w) for w in single.warnings
-            ]
-        ft = engine.check_events(
-            trace.events,
-            tool="FastTrack",
-            nshards=nshards,
-            tool_kwargs={"track_sites": True},
-        )
-        assert {w.var for w in ft.warnings} <= sharded_vars
+    def test_engine_envelope(self, matrix, nshards):
+        """docs/PREDICT.md's sharding envelope (the matrix's cells:
+        sharded ⊇ single, equal at one shard), and sharded WCP still
+        warns on every variable FastTrack does."""
+        row, column = f"envelope-{77 + nshards}", f"shards={nshards}"
+        matrix.check([row], ["object", "events", column], ["WCP"])
+
+        def warned(tool):
+            document = matrix.document(row, column, tool)
+            return {json.dumps(w["var"]) for w in document["warnings"]}
+
+        assert warned("FastTrack") <= warned("WCP")
 
 
 # -- wiring: CLI, service, obs ------------------------------------------------
@@ -355,14 +330,12 @@ class TestPredictCLI:
         assert "WCP: 1 warning(s)" in out
         assert cli.main(["check", lock_trace, "--tool", "FastTrack"]) == 0
 
-    def test_check_tool_wcp_sharded(self, lock_trace, capsys):
-        assert cli.main(["check", lock_trace, "--tool", "WCP"]) == 1
-        single = capsys.readouterr().out
-        assert (
-            cli.main(["check", lock_trace, "--tool", "WCP", "--shards", "2"])
-            == 1
-        )
-        assert capsys.readouterr().out == single
+    def test_check_tool_wcp_sharded(self, matrix):
+        matrix.check(["predict_lock"], ["text", "text-2"], ["WCP"])
+        # On this trace WCP's envelope is tight: 2 shards, same warnings.
+        assert matrix.document("predict_lock", "shards=2", "WCP")[
+            "warnings"
+        ] == matrix.document("predict_lock", "check", "WCP")["warnings"]
 
     def test_predict_command(self, lock_trace, capsys):
         assert cli.main(["predict", lock_trace]) == 1
@@ -391,31 +364,10 @@ class TestPredictCLI:
         assert "WCP" in capsys.readouterr().out
 
 
-def test_service_runs_wcp_jobs(tmp_path):
+def test_service_runs_wcp_jobs(matrix):
     """A ``tool: wcp`` job (case-insensitive) through the real daemon
     equals ``repro check --tool WCP --json`` byte for byte."""
-    from repro.service.client import Client
-    from repro.service.server import ServiceConfig, start_in_thread
-
-    handle = start_in_thread(
-        ServiceConfig(port=0, workers=1, store_dir=str(tmp_path))
-    )
-    try:
-        client = Client(port=handle.port, timeout=30.0)
-        trace_path = DATA / "predict_lock.trace"
-        job = client.submit(path=str(trace_path), tools=["wcp"])
-        assert job["tools"] == ["WCP"]
-        client.wait(job["id"], timeout=60.0, poll=0.05)
-        served = client.result_bytes(job["id"]).decode("utf-8")
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            code = cli.main(
-                ["check", str(trace_path), "--tool", "WCP", "--json"]
-            )
-        assert code == 1
-        assert served == buffer.getvalue()
-    finally:
-        handle.stop(grace=5.0)
+    matrix.check(["predict_lock"], ["served-tool"], ["WCP"])
 
 
 def test_wcp_rule_metrics_exposed():

@@ -4,10 +4,10 @@ The daemon runs in-process (ephemeral port, temp store) so the tests
 exercise the real HTTP stack — chunked uploads, JSON envelopes, status
 codes, the Prometheus endpoint — without fixed ports or subprocesses.
 
-The centerpiece is the equivalence matrix: for every golden-corpus
-trace and every warning-producing tool, the bytes served by
-``GET /v1/jobs/{id}/result`` must equal the bytes printed by
-``repro check --json`` exactly.
+That the bytes served by ``GET /v1/jobs/{id}/result`` equal the bytes
+``repro check --json`` prints, for every tool and trace, is checked by
+the conformance matrix (tests/conformance.py, the ``served`` columns);
+the first tests below name some of its cells.
 """
 
 import io
@@ -64,13 +64,8 @@ def test_healthz_reports_ok(client):
 
 @pytest.mark.parametrize("tool_name", WARNING_TOOLS)
 @pytest.mark.parametrize("name", sorted(MANIFEST))
-def test_result_bit_identical_to_check_json(client, name, tool_name):
-    trace_path = DATA / f"{name}.trace"
-    job = client.submit(path=str(trace_path), tools=[tool_name])
-    client.wait(job["id"], timeout=120.0, poll=0.05)
-    served = client.result_bytes(job["id"]).decode("utf-8")
-    expected = _check_json([str(trace_path), "--tool", tool_name])
-    assert served == expected, (name, tool_name)
+def test_result_bit_identical_to_check_json(matrix, name, tool_name):
+    matrix.check([name], ["served-tool"], [tool_name])
 
 
 def test_multi_tool_job_returns_result_set(client):
@@ -83,16 +78,8 @@ def test_multi_tool_job_returns_result_set(client):
         assert result["schema"] == "repro.result/1"
 
 
-def test_jsonl_streaming_upload_matches_text(client, tmp_path):
-    trace = serialize.loads((DATA / "figure4.trace").read_text())
-    jsonl_path = tmp_path / "figure4.jsonl"
-    jsonl_path.write_text(serialize.dumps_jsonl(trace))
-    text_job = client.submit(path=str(DATA / "figure4.trace"))
-    jsonl_job = client.submit(path=str(jsonl_path), fmt="jsonl")
-    from_text = client.wait(text_job["id"], timeout=60.0, poll=0.05)
-    from_jsonl = client.wait(jsonl_job["id"], timeout=60.0, poll=0.05)
-    assert from_jsonl["warnings"] == from_text["warnings"]
-    assert from_jsonl["stats"] == from_text["stats"]
+def test_jsonl_streaming_upload_matches_text(matrix):
+    matrix.check(["figure4"], ["served", "served-2"], ["FastTrack"])
 
 
 def test_inline_envelope_submissions(client):

@@ -3,8 +3,9 @@
 The load-bearing property is the **differential gate**: over a completed
 trace, the warning objects streamed by :class:`WatchMonitor` (and by the
 ``repro watch`` CLI) must be byte-identical, in order, to the
-``warnings`` array of ``repro check --json`` — for FastTrack, WCP, and
-AsyncFinish over every golden trace, including the async corpus.  The
+``warnings`` array of ``repro check --json``, for every tool over every
+row of the conformance matrix (tests/conformance.py, the ``watch`` and
+``watch-compact`` cells); the gate tests below name some of them.  The
 rest covers the tail reader (partial writes, follow mode, idle timeout),
 live incremental delivery (first warning before EOF), compaction,
 metrics, and CLI exit codes.
@@ -14,17 +15,15 @@ import io
 import json
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.detectors import default_tool_kwargs, make_detector
 from repro.obs.metrics import MetricsRegistry
-from repro.report import warning_to_json
 from repro.trace import events as ev
 from repro.trace.generators import async_pipeline_trace, task_pool_trace
-from repro.trace.serialize import dumps, dumps_jsonl, loads
+from repro.trace.serialize import dumps, dumps_jsonl
 from repro.trace.trace import Trace
 from repro.watch import (
     WARNING_SCHEMA,
@@ -34,70 +33,28 @@ from repro.watch import (
     TailReader,
     WatchMonitor,
 )
+from tests.conformance import GOLDEN
 
-DATA = Path(__file__).parent / "data"
-GOLDEN = sorted(json.loads((DATA / "manifest.json").read_text()))
-ASYNC_GOLDEN = sorted(json.loads((DATA / "async_manifest.json").read_text()))
 GATE_TOOLS = ("FastTrack", "WCP", "AsyncFinish")
 
 RACY = Trace([ev.wr(0, "x"), ev.fork(0, 1), ev.wr(1, "x"), ev.wr(0, "x")])
 
 
-def _canonical(obj):
-    return json.dumps(obj, sort_keys=True)
-
-
-def _batch_warning_lines(tool, trace):
-    """The ``warnings`` array ``repro check --tool T --json`` reports,
-    each entry canonically encoded — the differential reference."""
-    detector = make_detector(tool, **default_tool_kwargs(tool))
-    detector.process(trace)
-    return [_canonical(warning_to_json(w)) for w in detector.warnings]
-
-
-def _monitor_warning_lines(tool, trace, **kwargs):
-    monitor = WatchMonitor(tool, registry=MetricsRegistry(), **kwargs)
-    records = [json.loads(r) for r in monitor.drain(iter(trace))]
-    for record in records:
-        assert record["schema"] == WARNING_SCHEMA
-        assert record["tool"] == tool
-    return [_canonical(record["warning"]) for record in records]
-
-
 class TestDifferentialGate:
-    @pytest.mark.parametrize("tool", GATE_TOOLS)
-    @pytest.mark.parametrize("name", GOLDEN + ASYNC_GOLDEN)
-    def test_streamed_warnings_equal_batch_check(self, name, tool):
-        trace = loads((DATA / f"{name}.trace").read_text())
-        assert _monitor_warning_lines(tool, trace) == _batch_warning_lines(
-            tool, trace
-        )
+    """The conformance matrix's ``watch`` and ``watch-compact`` cells."""
 
     @pytest.mark.parametrize("tool", GATE_TOOLS)
-    @pytest.mark.parametrize("name", GOLDEN + ASYNC_GOLDEN)
-    def test_compaction_does_not_change_the_stream(self, name, tool):
-        trace = loads((DATA / f"{name}.trace").read_text())
-        assert _monitor_warning_lines(
-            tool, trace, compact_every=7
-        ) == _batch_warning_lines(tool, trace)
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_streamed_warnings_equal_batch_check(self, matrix, name, tool):
+        matrix.check([name], ["watch"], [tool])
 
-    def test_cli_watch_matches_cli_check_json(self, tmp_path, capsys):
-        path = tmp_path / "pool.trace"
-        path.write_text(dumps(task_pool_trace(racy=True, seed=1)))
-        assert main(["check", str(path), "--tool", "async", "--json"]) == 1
-        check_doc = json.loads(capsys.readouterr().out)
-        code = main(
-            ["watch", str(path), "--format", "text", "--tool", "async"]
-        )
-        assert code == 1
-        streamed = [
-            json.loads(line)
-            for line in capsys.readouterr().out.splitlines()
-            if line.strip()
-        ]
-        assert [_canonical(r["warning"]) for r in streamed] == [
-            _canonical(w) for w in check_doc["warnings"]
-        ]
+    @pytest.mark.parametrize("tool", GATE_TOOLS)
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_compaction_does_not_change_the_stream(self, matrix, name, tool):
+        matrix.check([name], ["watch-compact"], [tool])
+
+    def test_cli_watch_matches_cli_check_json(self, matrix):
+        matrix.check(["pool-racy-1"], ["watch"], ["AsyncFinish"])
 
 
 class TestWatchMonitor:
